@@ -130,7 +130,7 @@ fn main() {
         report.note(format!("crash-drain set: {}", sys.crash_cost()));
         let stats = sys.stats();
         let cfg_for_verify = sys.config().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         match verify_recovery(kind, &img, &cfg_for_verify, params) {
             Ok(n) => report.note(format!(
                 "post-crash verification: OK, {n} elements recovered"

@@ -372,7 +372,7 @@ pub fn run_shape(shape: &Shape, mode: PersistencyMode) -> LitmusRow {
         for (core, op) in &ops[..k] {
             sys.step_op(*core, op);
         }
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         if shape.shows_forbidden(&img, base) {
             observed += 1;
             first_observed.get_or_insert(k);
@@ -384,7 +384,7 @@ pub fn run_shape(shape: &Shape, mode: PersistencyMode) -> LitmusRow {
     for (core, op) in &ops {
         sys.step_op(*core, op);
     }
-    sys.crash_now();
+    sys.crash_now(true);
     let events = sys.take_events();
     let report = PersistOrderChecker::run(mode, cfg.cores, &events);
 
@@ -514,7 +514,7 @@ mod tests {
                     for (core, op) in &ops[..k] {
                         sys.step_op(*core, op);
                     }
-                    let img = sys.crash_now();
+                    let img = sys.crash_now(true);
                     let outcome: Vec<u64> = (0..shape.prog.num_locs())
                         .map(|l| img.read_u64(base + shape.offsets[l]))
                         .collect();

@@ -159,7 +159,7 @@ fn audit_trace(cell: &AuditCell) -> CheckReport {
     sys.prepare(w.as_mut());
     sys.set_tracing(true);
     sys.run(w.as_mut(), u64::MAX);
-    sys.crash_now();
+    sys.crash_now(true);
     let events = sys.take_events();
     PersistOrderChecker::run(cell.mode, cell.cfg.cores, &events)
 }

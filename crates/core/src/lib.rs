@@ -30,7 +30,7 @@
 //! let mut sys = System::new(SimConfig::small_for_tests(), PersistencyMode::BbbMemorySide)?;
 //! let a = sys.address_map().persistent_base();
 //! sys.run_single_core(0, vec![Op::store_u64(a, 7), Op::store_u64(a + 8, 9)])?;
-//! let image = sys.crash_now();
+//! let image = sys.crash_now(true);
 //! assert_eq!(image.read_u64(a), 7);
 //! assert_eq!(image.read_u64(a + 8), 9);
 //! # Ok::<(), bbb_core::SystemError>(())
@@ -63,6 +63,6 @@ pub use memories::Memories;
 pub use mode::PersistencyMode;
 pub use persist::PersistState;
 pub use procside::{ProcSidePb, StoreEntry};
-pub use stream::{OpStream, StreamWorkload};
-pub use system::{EventProbe, RunCursor, RunSummary, StopAt, System, SystemError};
-pub use workload::Workload;
+pub use stream::OpStream;
+pub use system::{EventProbe, Probe, RunCursor, RunSummary, StopAt, System, SystemError};
+pub use workload::{BatchStream, Workload};

@@ -1,5 +1,5 @@
 //! Litmus-to-workload bridge: drives an explicit global op schedule
-//! through the standard [`Workload`] interface.
+//! through the standard [`OpStream`] interface.
 //!
 //! Litmus programs fix a *global* order of ops across cores (the
 //! candidate execution under test). The event-driven run loop serves
@@ -7,22 +7,22 @@
 //! itself: each core's ops wait in a queue, and a core whose turn has
 //! not come receives short [`Op::Compute`] stalls until the scheduled
 //! predecessor op has been issued. This lets the crash-point sweep
-//! machinery ([`crate::System::run_until`], `run_probed_stores`) replay
-//! a litmus schedule cycle-accurately, crashing *inside* ops rather
-//! than only at op boundaries.
+//! machinery ([`crate::System::run_until`], probed or not) replay a
+//! litmus schedule cycle-accurately, crashing *inside* ops rather than
+//! only at op boundaries.
 
 use std::collections::VecDeque;
 
 use bbb_cpu::Op;
 use bbb_mem::ByteStore;
 
-use crate::workload::Workload;
+use crate::stream::OpStream;
 
 /// Stall granted to a core waiting for its scheduled turn. Short enough
 /// that the waiting core re-polls well inside any op's latency.
 const GATE_STALL: u32 = 8;
 
-/// A [`Workload`] that replays a fixed `(core, op)` sequence in exactly
+/// An [`OpStream`] that replays a fixed `(core, op)` sequence in exactly
 /// that global issue order.
 pub struct ScheduledOps {
     /// Per-core op queues, in program order.
@@ -51,22 +51,22 @@ impl ScheduledOps {
     }
 }
 
-impl Workload for ScheduledOps {
+impl OpStream for ScheduledOps {
     fn name(&self) -> &str {
         "litmus"
     }
 
-    fn next_batch(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Vec<Op>> {
+    fn next_op(&mut self, core: usize, _arch: &mut ByteStore) -> Option<Op> {
         if self.queues[core].is_empty() {
             return None;
         }
         if self.order.front() == Some(&core) {
             self.order.pop_front();
-            Some(vec![self.queues[core].pop_front().expect("queued op")])
+            self.queues[core].pop_front()
         } else {
             // Not this core's turn: spin until the scheduled predecessor
             // has been issued.
-            Some(vec![Op::Compute { cycles: GATE_STALL }])
+            Some(Op::Compute { cycles: GATE_STALL })
         }
     }
 }
@@ -91,7 +91,7 @@ mod tests {
         let mut w = ScheduledOps::new(&ops, cfg.cores);
         let mut sys = System::new(cfg, PersistencyMode::Eadr).expect("config");
         let mut cursor = RunCursor::new(2);
-        sys.run_until(&mut w, &mut cursor, StopAt::End);
+        sys.run_until(&mut w, &mut cursor, StopAt::End, None);
         let img = sys.crash_image(true);
         assert_eq!(img.read_u64(base), 3, "c0's second store wins");
         assert_eq!(img.read_u64(base + 0x40), 9);
@@ -110,7 +110,7 @@ mod tests {
         let mut w = ScheduledOps::new(&ops, cfg.cores);
         let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).expect("config");
         let mut cursor = RunCursor::new(2);
-        sys.run_until(&mut w, &mut cursor, StopAt::End);
+        sys.run_until(&mut w, &mut cursor, StopAt::End, None);
         let img = sys.crash_image(true);
         assert_eq!(img.read_u64(base), 5);
         assert_eq!(img.read_u64(base + 0x40), 6);

@@ -196,33 +196,6 @@ impl ProcSidePb {
         }
     }
 
-    /// Drains every entry in order at a crash. Returns blocks written.
-    pub fn crash_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> u64 {
-        let mut n = 0;
-        while self.drain_oldest(now, mem) {
-            n += 1;
-        }
-        self.in_flight.clear();
-        n
-    }
-
-    /// Commit tag `(committed, seq)` of the oldest buffered store — the
-    /// key the cross-core crash merge compares before picking which
-    /// buffer drains its front next.
-    #[must_use]
-    pub fn front_tau(&self) -> Option<(Cycle, u64)> {
-        self.entries.front().map(|e| (e.committed, e.seq))
-    }
-
-    /// Crash-drains the single oldest entry (same media write, trace
-    /// event, and counters as [`ProcSidePb::crash_drain`] gives it); the
-    /// caller interleaves these across cores in commit order and finishes
-    /// with `crash_drain` to clear the in-flight set. Returns false when
-    /// nothing is buffered.
-    pub fn crash_drain_oldest(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> bool {
-        self.drain_oldest(now, mem)
-    }
-
     /// Drops every entry without writing anything (a *volatile* persist
     /// buffer losing power — the BEP baseline). Returns entries lost.
     pub fn crash_discard(&mut self) -> u64 {
@@ -238,9 +211,7 @@ impl ProcSidePb {
     /// Drains every entry in order and returns the cycle the last one is
     /// durable — the completion time of an epoch barrier.
     pub fn drain_all_timed(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
-        let before = self.drains.get();
         while self.drain_oldest(now, mem) {}
-        let _ = before;
         let t = self
             .in_flight
             .iter()
@@ -298,7 +269,11 @@ impl ProcSidePb {
         self.in_flight.retain(|&f| f > now);
     }
 
-    fn drain_oldest(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> bool {
+    /// Drains the single oldest entry: one PbDrain event, one media
+    /// read-modify-write, one drain counted. The system's crash drain
+    /// interleaves these across cores in coherence order. Returns false
+    /// when nothing is buffered.
+    pub(crate) fn drain_oldest(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> bool {
         let Some(e) = self.entries.pop_front() else {
             return false;
         };
@@ -386,7 +361,7 @@ mod tests {
         for i in 0..5u64 {
             p.push(0, b(1), (i * 8) as usize, &i.to_le_bytes(), 0, 0, &mut n);
         }
-        p.crash_drain(10, &mut n);
+        p.drain_all_timed(10, &mut n);
         assert_eq!(n.endurance().writes_to(b(1)), 5);
         // Final media contents reflect all stores in order.
         let img = n.crash_image();
@@ -402,7 +377,7 @@ mod tests {
         p.push(0, b(1), 0, &1u64.to_le_bytes(), 0, 0, &mut n);
         p.push(0, b(2), 0, &2u64.to_le_bytes(), 0, 0, &mut n);
         p.push(0, b(1), 0, &3u64.to_le_bytes(), 0, 0, &mut n);
-        p.crash_drain(0, &mut n);
+        p.drain_all_timed(0, &mut n);
         // Last write to block 1 was value 3 (program order preserved).
         assert_eq!(n.crash_image().read_u64(b(1).base()), 3);
     }

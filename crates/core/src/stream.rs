@@ -1,6 +1,6 @@
 //! Pull-based op streaming — the server-scale workload interface.
 //!
-//! The batch [`Workload`] contract materializes a `Vec<Op>` per
+//! The batch [`Workload`](crate::Workload) contract materializes a `Vec<Op>` per
 //! high-level operation; that is fine for the paper's microbenchmarks but
 //! allocates on every request and invites pre-materializing whole op
 //! vectors. [`OpStream`] is the O(live keys) alternative: the system
@@ -9,22 +9,19 @@
 //! how many ops a run executes, which is what makes million-key ×
 //! ten-million-op sweeps feasible.
 //!
-//! Semantics match the batch path exactly: ops are generated against the
-//! architectural memory at the simulation instant the core is ready for
-//! them, and stores mutate `arch` only when they *commit* inside the
-//! system (not at generation time), preserving honest cross-core
-//! visibility. A stream wrapped in [`StreamWorkload`] therefore produces
-//! the same committed op sequence as feeding it to
-//! [`System::run_stream`](crate::System::run_stream) directly.
+//! `OpStream` is the only op source the system drives: batch workloads
+//! reach the run loop through [`BatchStream`](crate::BatchStream). Ops are
+//! generated against the architectural memory at the simulation instant
+//! the core is ready for them, and stores mutate `arch` only when they
+//! *commit* inside the system (not at generation time), preserving honest
+//! cross-core visibility.
 
 use bbb_cpu::Op;
 use bbb_mem::ByteStore;
 
-use crate::workload::Workload;
-
 /// A multi-threaded workload that yields one op at a time.
 ///
-/// `Send` is a supertrait for the same reason as on [`Workload`]:
+/// `Send` is a supertrait for the same reason as on [`Workload`](crate::Workload):
 /// experiment points run on worker threads.
 pub trait OpStream: Send {
     /// Short name for reports (e.g. `"kv-a"`).
@@ -58,27 +55,6 @@ impl OpStream for Box<dyn OpStream> {
     }
 }
 
-/// Adapts an [`OpStream`] to the batch [`Workload`] interface with
-/// one-op batches, so stream-native workloads can ride every existing
-/// batch driver (crash sweeps, epoch wrappers, recovery checks) with an
-/// identical committed op sequence.
-#[derive(Debug)]
-pub struct StreamWorkload<S>(pub S);
-
-impl<S: OpStream> Workload for StreamWorkload<S> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn setup(&mut self, arch: &mut ByteStore) {
-        self.0.setup(arch);
-    }
-
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        self.0.next_op(core, arch).map(|op| vec![op])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,23 +79,15 @@ mod tests {
     }
 
     #[test]
-    fn stream_is_object_safe_and_adapts_to_workload() {
+    fn stream_is_object_safe() {
         let mut arch = ByteStore::new();
         let mut s: Box<dyn OpStream> = Box::new(CountStream {
-            remaining: vec![2, 1],
-            base: 0x1000,
-        });
-        assert_eq!(s.name(), "count");
-        assert!(s.next_op(0, &mut arch).is_some());
-
-        let mut w = StreamWorkload(CountStream {
             remaining: vec![1, 0],
             base: 0x1000,
         });
-        assert_eq!(w.name(), "count");
-        let batch = w.next_batch(0, &mut arch).expect("one op left");
-        assert_eq!(batch.len(), 1);
-        assert!(w.next_batch(0, &mut arch).is_none());
-        assert!(w.next_batch(1, &mut arch).is_none());
+        assert_eq!(s.name(), "count");
+        assert_eq!(s.next_op(0, &mut arch), Some(Op::store_u64(0x1000, 7)));
+        assert!(s.next_op(0, &mut arch).is_none());
+        assert!(s.next_op(1, &mut arch).is_none());
     }
 }

@@ -6,12 +6,12 @@
 //! persist-buffer bursts are in flight. This module reuses the crash-
 //! point sweep machinery on a [`ScheduledOps`] bridge: a reference pass
 //! records the run length and every persisting-store boundary
-//! ([`bbb_core::System::run_probed_stores`]), [`plan_points`] straddles
+//! ([`bbb_core::Probe::PersistingStores`]), [`plan_points`] straddles
 //! each boundary with dense/random filler, and a single forward pass
 //! takes a non-destructive [`bbb_core::System::crash_image`] at every
 //! planned cycle, memoized by [`bbb_core::System::crash_image_epoch`].
 
-use bbb_core::{NvmImage, Op, PersistencyMode, RunCursor, ScheduledOps, StopAt, System};
+use bbb_core::{NvmImage, Op, PersistencyMode, Probe, RunCursor, ScheduledOps, StopAt, System};
 use bbb_sim::SimConfig;
 
 use crate::grid::{plan_points, GridSpec};
@@ -35,7 +35,8 @@ pub fn schedule_images(
     let mut w = ScheduledOps::new(ops, cfg.cores);
     let mut cursor = RunCursor::new(cfg.cores);
     let mut store_cycles = Vec::new();
-    sys.run_probed_stores(&mut w, &mut cursor, &mut store_cycles);
+    let probe = Some(Probe::PersistingStores(&mut store_cycles));
+    sys.run_until(&mut w, &mut cursor, StopAt::End, probe);
     let total = sys.cycle();
     let final_image = sys.crash_image(true);
     if total == 0 {
@@ -50,7 +51,7 @@ pub fn schedule_images(
     let mut images = Vec::with_capacity(points.len() + 1);
     let mut last_epoch = None;
     for point in points {
-        sys.run_until(&mut w, &mut cursor, StopAt::Cycle(point));
+        sys.run_until(&mut w, &mut cursor, StopAt::Cycle(point), None);
         let epoch = sys.crash_image_epoch(true);
         if last_epoch != Some(epoch) {
             images.push(sys.crash_image(true));

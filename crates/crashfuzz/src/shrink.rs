@@ -134,14 +134,9 @@ pub fn test_source(cfg: &SweepConfig, failure: &CrashFailure) -> String {
         "    // WARNING: the sweep's machine customized more SimConfig fields than\n    // cores/heap/bbPB entries below — port those too.\n".to_owned()
     };
     let barrier_line = if cfg.epoch_barriers {
-        "    let mut w = bbb::workloads::suite::with_epoch_barriers(w);\n"
+        "    let w = bbb::workloads::suite::with_epoch_barriers(w);\n"
     } else {
         ""
-    };
-    let crash_call = if failure.battery_dropped {
-        "crash_now_battery_dropped"
-    } else {
-        "crash_now"
     };
     let detail = failure
         .report
@@ -156,7 +151,7 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
     // Generated by bbb-crashfuzz: power failure at cycle {cycle} leaves
     // {wl_name} unrecoverable under {mode_debug}.
     // Observed: {detail}
-    use bbb::core::{{PersistencyMode, RunCursor, StopAt, System}};
+    use bbb::core::{{BatchStream, PersistencyMode, RunCursor, StopAt, System}};
     use bbb::sim::SimConfig;
     use bbb::workloads::{{make_workload, verify_recovery_report, WorkloadKind, WorkloadParams}};
 
@@ -170,12 +165,13 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
         seed: {seed:#x},
         instrument: {instrument},
     }};
-    let mut w = make_workload(WorkloadKind::{wl_variant}, &cfg, params);
-{barrier_line}    let mut sys = System::new(cfg.clone(), PersistencyMode::{mode_variant}).unwrap();
-    sys.prepare(w.as_mut());
+    let w = make_workload(WorkloadKind::{wl_variant}, &cfg, params);
+{barrier_line}    let mut w = BatchStream::new(w);
+    let mut sys = System::new(cfg.clone(), PersistencyMode::{mode_variant}).unwrap();
+    sys.prepare_stream(&mut w);
     let mut cursor = RunCursor::new(cfg.cores);
-    sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle({cycle}));
-    let image = sys.{crash_call}();
+    sys.run_until(&mut w, &mut cursor, StopAt::Cycle({cycle}), None);
+    let image = sys.crash_now({battery_ok});
     let report = verify_recovery_report(WorkloadKind::{wl_variant}, &image, &cfg, params);
     assert!(report.ok(), "{{report}}");
 }}"#,
@@ -195,7 +191,7 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
         instrument = cfg.params.instrument,
         wl_variant = wl_variant,
         mode_variant = mode_variant,
-        crash_call = crash_call,
+        battery_ok = !failure.battery_dropped,
     )
 }
 
@@ -240,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn battery_dropped_failures_use_the_dropped_crash_call() {
+    fn battery_dropped_failures_crash_without_the_battery() {
         let cfg = lossy_cfg();
         let f = CrashFailure {
             cycle: 9,
@@ -251,7 +247,7 @@ mod tests {
                 failure: Some("torn".into()),
             },
         };
-        assert!(test_source(&cfg, &f).contains("crash_now_battery_dropped()"));
+        assert!(test_source(&cfg, &f).contains("crash_now(false)"));
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! sweep instead *requires* lost-update signatures: a checker that never
 //! flags a machine designed to lose data has no teeth.
 
-use bbb_core::{PersistencyMode, RunCursor, StopAt, System, Workload, PAGE_BYTES};
+use bbb_core::{
+    BatchStream, PersistencyMode, Probe, RunCursor, StopAt, System, Workload, PAGE_BYTES,
+};
 use bbb_sim::{Cycle, SchedProfile, SimConfig};
 use bbb_workloads::suite::with_epoch_barriers;
 use bbb_workloads::{
@@ -210,13 +212,14 @@ pub struct Reference {
     pub event_cycles: Vec<Cycle>,
 }
 
-fn build(cfg: &SweepConfig) -> (Box<dyn Workload>, System) {
+fn build(cfg: &SweepConfig) -> (BatchStream<Box<dyn Workload>>, System) {
     let mut w = make_workload(cfg.workload, &cfg.cfg, cfg.params);
     if cfg.epoch_barriers {
         w = with_epoch_barriers(w);
     }
+    let mut w = BatchStream::new(w);
     let mut sys = System::new(cfg.cfg.clone(), cfg.mode).expect("valid sweep config");
-    sys.prepare(w.as_mut());
+    sys.prepare_stream(&mut w);
     (w, sys)
 }
 
@@ -228,11 +231,12 @@ pub fn reference_run(cfg: &SweepConfig) -> Reference {
     let (mut w, mut sys) = build(cfg);
     let mut cursor = RunCursor::new(cfg.cfg.cores);
     let mut event_cycles = Vec::new();
-    if cfg.store_boundaries {
-        sys.run_probed_stores(w.as_mut(), &mut cursor, &mut event_cycles);
+    let probe = if cfg.store_boundaries {
+        Probe::PersistingStores(&mut event_cycles)
     } else {
-        sys.run_probed(w.as_mut(), &mut cursor, &mut event_cycles);
-    }
+        Probe::Ordering(&mut event_cycles)
+    };
+    sys.run_until(&mut w, &mut cursor, StopAt::End, Some(probe));
     Reference {
         total_cycles: sys.cycle(),
         total_ops: cursor.ops(),
@@ -437,7 +441,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
     let mut memo: Option<(u64, RecoveryReport)> = None;
     let mut memo_dropped: Option<(u64, RecoveryReport)> = None;
     for &p in &shard.points {
-        sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle(p));
+        sys.run_until(&mut w, &mut cursor, StopAt::Cycle(p), None);
         let epoch = sys.crash_image_epoch(true);
         let report = match &memo {
             Some((e, r)) if *e == epoch => {
@@ -503,7 +507,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
         // mode's correct discipline. A machine that skips the required
         // flushes/barriers must come up short (or torn).
         negative_points += 1;
-        sys.run_until(w.as_mut(), &mut cursor, StopAt::End);
+        sys.run_until(&mut w, &mut cursor, StopAt::End, None);
         let lossy_final = {
             let (resident, copies_before) = sys.media_cow_stats();
             let image = sys.crash_image(true);
@@ -514,7 +518,7 @@ pub fn sweep_shard(shard: &SweepShard) -> ShardOutcome {
             let twin = cfg.consistent_twin();
             let (mut tw, mut tsys) = build(&twin);
             let mut tcursor = RunCursor::new(twin.cfg.cores);
-            tsys.run_until(tw.as_mut(), &mut tcursor, StopAt::End);
+            tsys.run_until(&mut tw, &mut tcursor, StopAt::End, None);
             let image = tsys.crash_image(true);
             verify_recovery_report(twin.workload, &image, &twin.cfg, twin.params)
         };
@@ -586,7 +590,7 @@ pub fn first_failure_at(
     let (mut w, mut sys) = build(cfg);
     let mut cursor = RunCursor::new(cfg.cfg.cores);
     for &p in points {
-        sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle(p));
+        sys.run_until(&mut w, &mut cursor, StopAt::Cycle(p), None);
         let image = sys.crash_image(!battery_dropped);
         let report = verify_recovery_report(cfg.workload, &image, &cfg.cfg, cfg.params);
         if !report.ok() {

@@ -253,7 +253,7 @@ mod tests {
         sys.drain_all_store_buffers();
         sys.check_invariants();
         let base = sys.address_map().persistent_base();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         check_array_recovery(&img, base, N).expect("all values tagged");
         // Complete (uninterrupted) swaps preserve the multiset exactly.
         let mut values: Vec<u64> = (0..N).map(|i| img.read_u64(base + i * 8)).collect();
@@ -274,7 +274,7 @@ mod tests {
         sys.run(&mut w, u64::MAX);
         sys.drain_all_store_buffers();
         let base = sys.address_map().persistent_base();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let originals = check_array_recovery(&img, base, N).expect("tagged");
         assert!(originals < N, "40 mutations must have changed something");
     }
@@ -290,7 +290,7 @@ mod tests {
         sys.prepare(&mut w);
         sys.run(&mut w, 137); // arbitrary mid-op cut
         let base = sys.address_map().persistent_base();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         check_array_recovery(&img, base, N).expect("no garbage values ever");
     }
 

@@ -363,7 +363,7 @@ mod tests {
         let (mut sys, mut w) = build(PersistencyMode::Eadr, 300, 0);
         sys.prepare(&mut w);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_btree_recovery(&img, &map, map.persistent_base()).expect("valid");
         assert_eq!(n, 300, "every setup key reachable");
         assert_eq!(w.inserted(), 300);
@@ -377,7 +377,7 @@ mod tests {
             let (mut sys, mut w) = build(PersistencyMode::Eadr, initial, 0);
             sys.prepare(&mut w);
             let map = sys.address_map().clone();
-            let img = sys.crash_now();
+            let img = sys.crash_now(true);
             let n = check_btree_recovery(&img, &map, map.persistent_base()).unwrap();
             assert_eq!(n, initial);
         }
@@ -390,7 +390,7 @@ mod tests {
         sys.run(&mut w, 731); // cut mid-insert
         sys.check_invariants();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_btree_recovery(&img, &map, map.persistent_base())
             .expect("BBB image consistent at any cycle");
         assert!(n >= 100, "setup survives: {n}");
@@ -409,7 +409,7 @@ mod tests {
         sys.run(&mut w, u64::MAX);
         sys.drain_all_store_buffers();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_btree_recovery(&img, &map, map.persistent_base()).unwrap();
         assert_eq!(n, w.inserted());
     }
@@ -424,7 +424,7 @@ mod tests {
         sys.preload_u64(node, LEAF_FLAG | 1);
         sys.preload_u64(entry_addr(node, 0), 9);
         sys.preload_u64(entry_addr(node, 0) + 8, 1); // != 9*5
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let err = check_btree_recovery(&img, &map, root_slot).unwrap_err();
         assert!(err.contains("torn leaf"), "{err}");
     }

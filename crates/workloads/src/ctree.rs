@@ -378,7 +378,7 @@ mod tests {
         let (mut sys, mut w) = build(PersistencyMode::Eadr, 100, 0);
         sys.prepare(&mut w);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let leaves = check_ctree_recovery(&img, &map, map.persistent_base()).expect("valid");
         assert!(leaves >= 95, "most of 100 random keys inserted: {leaves}");
     }
@@ -391,7 +391,7 @@ mod tests {
         assert!(summary.completed);
         sys.check_invariants();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let leaves = check_ctree_recovery(&img, &map, map.persistent_base()).expect("valid");
         assert!(leaves >= 90, "tree grew: {leaves}");
     }
@@ -403,7 +403,7 @@ mod tests {
         // Cut the run mid-insert (op granularity) and crash.
         sys.run(&mut w, 157);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         check_ctree_recovery(&img, &map, map.persistent_base())
             .expect("BBB: any crash point is consistent");
     }
@@ -425,7 +425,7 @@ mod tests {
         sys.drain_all_store_buffers();
         let map = sys.address_map().clone();
         let inserted = w.inserted();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let leaves = check_ctree_recovery(&img, &map, map.persistent_base()).expect("valid");
         assert_eq!(leaves, inserted, "eADR image matches functional count");
     }

@@ -218,7 +218,7 @@ mod tests {
         let (mut sys, mut w) = build(PersistencyMode::Eadr, 200, 0);
         sys.prepare(&mut w);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_hashmap_recovery(&img, &map, map.persistent_base(), BUCKETS).unwrap();
         assert_eq!(n, 200);
         assert_eq!(w.inserted(), 200);
@@ -231,7 +231,7 @@ mod tests {
         sys.run(&mut w, 333); // cut mid-insert
         sys.check_invariants();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_hashmap_recovery(&img, &map, map.persistent_base(), BUCKETS)
             .expect("BBB image always consistent");
         assert!(n >= 50, "at least the setup survives: {n}");
@@ -246,7 +246,7 @@ mod tests {
         sys.drain_all_store_buffers();
         let map = sys.address_map().clone();
         let inserted = w.inserted();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_hashmap_recovery(&img, &map, map.persistent_base(), BUCKETS).unwrap();
         assert_eq!(n, inserted);
         assert_eq!(n, 30 + 2 * 20);
@@ -258,7 +258,7 @@ mod tests {
         sys.prepare(&mut w);
         sys.run(&mut w, u64::MAX);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         // A torn chain (Err) is the other valid demonstration.
         if let Ok(n) = check_hashmap_recovery(&img, &map, map.persistent_base(), BUCKETS) {
             assert!(n < 100, "cached inserts must be missing: {n}");
@@ -273,7 +273,7 @@ mod tests {
         sys.preload_u64(w.buckets_addr, node);
         sys.preload_u64(node, 5); // key without matching value
         sys.preload_u64(node + 8, 999);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let err = check_hashmap_recovery(&img, &map, map.persistent_base(), BUCKETS).unwrap_err();
         assert!(err.contains("torn node"), "{err}");
     }

@@ -22,8 +22,7 @@
 //! The workload is stream-native ([`OpStream`]): per-core state is a
 //! PRNG, a handful of cursors, and one bounded op buffer — memory is
 //! O(live keys) for the table plus O(cores), independent of how many ops
-//! a run executes. [`StreamWorkload`](bbb_core::StreamWorkload) adapts it
-//! to the batch interface where needed.
+//! a run executes.
 //!
 //! # Slot layout and crash discipline
 //!
@@ -436,7 +435,7 @@ pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbb_core::{PersistencyMode, StreamWorkload, System};
+    use bbb_core::{PersistencyMode, System};
     use bbb_sim::{AddressMap, SimConfig};
 
     fn small_layout(cfg: &SimConfig) -> KvLayout {
@@ -480,7 +479,7 @@ mod tests {
             let summary = sys.run_stream(&mut kv, u64::MAX);
             assert!(summary.completed, "{mix:?}");
             assert!(summary.ops > 0);
-            let img = sys.crash_now();
+            let img = sys.crash_now(true);
             let n = check_kv_recovery(&img, &layout).unwrap_or_else(|e| panic!("{mix:?}: {e}"));
             assert!(n >= 256, "{mix:?}: only {n} slots recovered");
         }
@@ -512,23 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_batch_adapter() {
-        let cfg = SimConfig::small_for_tests();
-        let layout = small_layout(&cfg);
-        let mut stream_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
-        let mut kv = KvWorkload::new(layout, spec(KvMix::A), cfg.cores);
-        stream_sys.prepare_stream(&mut kv);
-        stream_sys.run_stream(&mut kv, u64::MAX);
-
-        let mut batch_sys = System::new(cfg.clone(), PersistencyMode::BbbMemorySide).unwrap();
-        let mut wrapped = StreamWorkload(KvWorkload::new(layout, spec(KvMix::A), cfg.cores));
-        batch_sys.prepare(&mut wrapped);
-        batch_sys.run(&mut wrapped, u64::MAX);
-
-        assert_eq!(stream_sys.stats(), batch_sys.stats());
-    }
-
-    #[test]
     fn inserts_grow_live_set_and_recover() {
         let cfg = SimConfig::small_for_tests();
         let layout = small_layout(&cfg);
@@ -540,7 +522,7 @@ mod tests {
             kv.live.iter().sum::<u64>() - layout.initial_per_tenant * layout.tenants as u64;
         assert!(inserted > 0, "mix A must insert");
         sys.drain_all_store_buffers();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_kv_recovery(&img, &layout).expect("consistent");
         assert_eq!(
             n,

@@ -229,7 +229,7 @@ mod tests {
         let (mut sys, mut list, mut palloc) = setup(PersistencyMode::BbbMemorySide);
         run_appends(&mut sys, &mut list, &mut palloc, 20, false);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let r = list.check_recovery(&img, &map).expect("consistent");
         assert_eq!(r.reachable_nodes, 20, "every committed append durable");
     }
@@ -239,7 +239,7 @@ mod tests {
         let (mut sys, mut list, mut palloc) = setup(PersistencyMode::Eadr);
         run_appends(&mut sys, &mut list, &mut palloc, 20, false);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let r = list.check_recovery(&img, &map).expect("consistent");
         assert_eq!(r.reachable_nodes, 20);
     }
@@ -249,7 +249,7 @@ mod tests {
         let (mut sys, mut list, mut palloc) = setup(PersistencyMode::Pmem);
         run_appends(&mut sys, &mut list, &mut palloc, 10, true);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         // Every instrumented append fully persisted before the next began,
         // so the full list must be there.
         let r = list.check_recovery(&img, &map).expect("consistent");
@@ -261,7 +261,7 @@ mod tests {
         let (mut sys, mut list, mut palloc) = setup(PersistencyMode::Pmem);
         run_appends(&mut sys, &mut list, &mut palloc, 20, false);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         // Without flushes the whole list (or a prefix) sits in volatile
         // caches; the image must NOT contain all 20 nodes.
         // Corruption (Err) is also an acceptable demonstration.
@@ -280,7 +280,7 @@ mod tests {
         // Forge a head pointing at uninitialized space.
         let bogus = map.persistent_base() + 0x2000;
         sys.preload_u64(list.head_addr(), bogus);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         assert_eq!(
             list.check_recovery(&img, &map),
             Err(ListCorruption::DanglingPointer { node: bogus })
@@ -292,7 +292,7 @@ mod tests {
         let (mut sys, list, _) = setup(PersistencyMode::BbbMemorySide);
         let map = sys.address_map().clone();
         sys.preload_u64(list.head_addr(), 0x3); // unaligned garbage
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         assert!(matches!(
             list.check_recovery(&img, &map),
             Err(ListCorruption::MalformedPointer { .. })

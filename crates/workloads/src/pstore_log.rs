@@ -362,7 +362,7 @@ mod tests {
         sys.prepare(w.as_mut());
         let summary = sys.run(w.as_mut(), u64::MAX);
         assert!(summary.completed, "producer and consumer both finish");
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = verify_recovery(WorkloadKind::PstoreLog, &img, &cfg, params).unwrap();
         assert_eq!(
             n, params.per_core_ops,
@@ -381,7 +381,7 @@ mod tests {
         sys.prepare(w.as_mut());
         let summary = sys.run(w.as_mut(), u64::MAX);
         assert!(summary.completed);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = verify_recovery(WorkloadKind::PstoreLog, &img, &cfg, params).unwrap();
         assert_eq!(n, params.per_core_ops);
         // 64 appends of ≥24-byte spans through a 1 KiB ring: wrapped.

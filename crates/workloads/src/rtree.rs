@@ -548,7 +548,7 @@ mod tests {
         let (mut sys, mut w) = build(PersistencyMode::Eadr, 200, 0);
         sys.prepare(&mut w);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_rtree_recovery(&img, &map, map.persistent_base()).expect("valid");
         assert_eq!(n, 200, "every functional insert reachable");
         assert_eq!(w.inserted(), 200);
@@ -561,7 +561,7 @@ mod tests {
         sys.run(&mut w, 900); // cut mid-insert
         sys.check_invariants();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_rtree_recovery(&img, &map, map.persistent_base())
             .expect("BBB image consistent at any cycle");
         assert!(n >= 64, "setup data plus some inserts: {n}");
@@ -585,7 +585,7 @@ mod tests {
         sys.drain_all_store_buffers();
         let map = sys.address_map().clone();
         let inserted = w.inserted();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_rtree_recovery(&img, &map, map.persistent_base()).unwrap();
         assert_eq!(n, inserted);
     }

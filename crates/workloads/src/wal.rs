@@ -398,7 +398,7 @@ mod tests {
         // 200 appends over rings of 32 must have truncated at least once.
         assert!(wal.tail.iter().any(|&t| t > 0), "no shard truncated");
         sys.drain_all_store_buffers();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_wal_recovery(&img, &layout).expect("consistent");
         // After the final flush every shard exposes its full window.
         let expect: u64 = (0..layout.shards()).map(|s| wal.seq[s] - wal.tail[s]).sum();
@@ -416,7 +416,7 @@ mod tests {
         // Stop mid-run: published heads may lag seq by at most `group`
         // (plus whatever sits uncommitted in store buffers).
         sys.run_stream(&mut wal, 300);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = check_wal_recovery(&img, &layout).expect("mid-run image consistent");
         let published: u64 = (0..layout.shards())
             .map(|s| img.read_u64(layout.header_addr(s)))
@@ -455,7 +455,7 @@ mod tests {
         sys.prepare_stream(&mut wal);
         sys.run_stream(&mut wal, u64::MAX);
         sys.drain_all_store_buffers();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         check_wal_recovery(&img, &layout).expect("instrumented pmem log consistent");
     }
 }

@@ -45,7 +45,7 @@ fn main() -> Result<(), SystemError> {
         sys.prepare(&mut w);
         let summary = sys.run(&mut w, *budget);
         let cost = sys.crash_cost();
-        let image = sys.crash_now();
+        let image = sys.crash_now(true);
         let nodes = check_hashmap_recovery(&image, &map, map.persistent_base(), BUCKETS)
             .expect("BBB image must be consistent at any crash point");
         println!(

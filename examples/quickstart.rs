@@ -41,7 +41,7 @@ fn main() -> Result<(), SystemError> {
     // NVMM; everything committed is durable.
     let cost = sys.crash_cost();
     println!("crash! flush-on-fail drains {cost}");
-    let image = sys.crash_now();
+    let image = sys.crash_now(true);
 
     let recovery = list
         .check_recovery(&image, &map)
@@ -65,7 +65,7 @@ fn main() -> Result<(), SystemError> {
             .expect("allocator space");
         baseline.run_single_core(0, ops)?;
     }
-    let bimage = baseline.crash_now();
+    let bimage = baseline.crash_now(true);
     match blist.check_recovery(&bimage, &bmap) {
         Ok(r) => println!(
             "PMEM baseline without flushes: only {} of {} nodes survived",

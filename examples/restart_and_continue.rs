@@ -31,7 +31,7 @@ fn main() -> Result<(), SystemError> {
         sys.run_single_core(0, ops)?;
     }
     println!("session 1: appended {SESSION1_APPENDS} nodes, crashing...");
-    let image = sys.crash_now();
+    let image = sys.crash_now(true);
     drop(sys); // the machine is gone; only the NVMM image remains
 
     // ---- Session 2: reboot and recover --------------------------------
@@ -54,7 +54,7 @@ fn main() -> Result<(), SystemError> {
         sys.run_single_core(0, ops)?;
     }
     println!("session 2: appended {SESSION2_APPENDS} more, crashing again...");
-    let image2 = sys.crash_now();
+    let image2 = sys.crash_now(true);
 
     // ---- Final validation ---------------------------------------------
     let (final_list, _) =

@@ -36,7 +36,7 @@
 //! let base = sys.address_map().persistent_base();
 //! // A persisting store needs no flush or fence under BBB:
 //! sys.run_single_core(0, vec![bbb::cpu::Op::store_u64(base, 42)])?;
-//! let image = sys.crash_now();
+//! let image = sys.crash_now(true);
 //! assert_eq!(image.read_u64(base), 42); // durable immediately
 //! # Ok::<(), bbb::core::SystemError>(())
 //! ```

@@ -33,7 +33,7 @@ fn bbb_every_structure_recovers_mid_run() {
         sys.prepare(w.as_mut());
         sys.run(w.as_mut(), 577); // cut mid-operation
         sys.check_invariants();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let n = verify_recovery(kind, &img, &cfg, params())
             .unwrap_or_else(|e| panic!("{}: corrupt image: {e}", kind.name()));
         assert!(n > 0, "{}: nothing recovered", kind.name());
@@ -49,7 +49,7 @@ fn eadr_structures_recover_mid_run() {
         let mut sys = System::new(cfg.clone(), PersistencyMode::Eadr).unwrap();
         sys.prepare(w.as_mut());
         sys.run(w.as_mut(), 577);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         verify_recovery(kind, &img, &cfg, params()).unwrap();
     }
 }
@@ -64,7 +64,7 @@ fn procside_structures_recover_mid_run() {
     sys.prepare(w.as_mut());
     sys.run(w.as_mut(), 333);
     let map = sys.address_map().clone();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     let buckets = (params().initial / 2).next_power_of_two().max(64);
     check_hashmap_recovery(&img, &map, map.persistent_base(), buckets)
         .expect("processor-side keeps program order");
@@ -87,7 +87,7 @@ fn linked_list_motivation_plays_out() {
             .unwrap();
         sys.run_single_core(0, ops).unwrap();
     }
-    let r = list.check_recovery(&sys.crash_now(), &map).unwrap();
+    let r = list.check_recovery(&sys.crash_now(true), &map).unwrap();
     assert_eq!(r.reachable_nodes, appends);
 
     // PMEM, Fig. 2 code: data loss (or corruption) is expected.
@@ -102,7 +102,7 @@ fn linked_list_motivation_plays_out() {
         sys.run_single_core(0, ops).unwrap();
     }
     // Corruption (Err) also demonstrates the hazard.
-    if let Ok(r) = list.check_recovery(&sys.crash_now(), &map) {
+    if let Ok(r) = list.check_recovery(&sys.crash_now(true), &map) {
         assert!(r.reachable_nodes < appends, "caches cannot persist all");
     }
 
@@ -117,7 +117,7 @@ fn linked_list_motivation_plays_out() {
             .unwrap();
         sys.run_single_core(0, ops).unwrap();
     }
-    let r = list.check_recovery(&sys.crash_now(), &map).unwrap();
+    let r = list.check_recovery(&sys.crash_now(true), &map).unwrap();
     assert_eq!(r.reachable_nodes, appends);
 }
 
@@ -133,7 +133,7 @@ fn recovery_is_monotone_in_crash_point() {
         sys.prepare(w.as_mut());
         sys.run(w.as_mut(), budget);
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let buckets = (params().initial / 2).next_power_of_two().max(64);
         let n = check_hashmap_recovery(&img, &map, map.persistent_base(), buckets).unwrap();
         assert!(n >= last, "recovered set shrank: {n} < {last}");

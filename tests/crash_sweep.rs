@@ -221,7 +221,7 @@ fn crash_image_matches_destructive_fork_throughout_a_real_run() {
     // executions: at a spread of pause points, `crash_image` must equal
     // the image a cloned-and-crashed machine produces, in both battery
     // states, for every mode.
-    use bbb::core::{RunCursor, StopAt, System};
+    use bbb::core::{BatchStream, RunCursor, StopAt, System};
     use bbb::workloads::{make_workload, suite::with_epoch_barriers};
 
     let (cfg, params) = small();
@@ -232,22 +232,23 @@ fn crash_image_matches_destructive_fork_throughout_a_real_run() {
         if mode.requires_epoch_barriers() {
             w = with_epoch_barriers(w);
         }
+        let mut w = BatchStream::new(w);
         let mut sys = System::new(cfg.clone(), mode).expect("valid config");
-        sys.prepare(w.as_mut());
+        sys.prepare_stream(&mut w);
         let mut cursor = RunCursor::new(cfg.cores);
         let mut at = 400;
         for _ in 0..12 {
-            let s = sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle(at));
+            let s = sys.run_until(&mut w, &mut cursor, StopAt::Cycle(at), None);
             let healthy = sys.crash_image(true);
             let dropped = sys.crash_image(false);
             assert_eq!(
                 healthy,
-                sys.clone().crash_now(),
+                sys.clone().crash_now(true),
                 "{mode}: healthy image diverged at cycle {at}"
             );
             assert_eq!(
                 dropped,
-                sys.clone().crash_now_battery_dropped(),
+                sys.clone().crash_now(false),
                 "{mode}: battery-dropped image diverged at cycle {at}"
             );
             if s.completed {
@@ -269,7 +270,7 @@ fn crash_image_epoch_memo_is_sound_in_both_battery_states() {
     // (tracked separately per battery state, exactly like the sweep's
     // memo), the freshly taken image must be byte-identical to the
     // memoized image.
-    use bbb::core::{RunCursor, StopAt, System};
+    use bbb::core::{BatchStream, RunCursor, StopAt, System};
     use bbb::mem::NvmImage;
     use bbb::workloads::{make_workload, suite::with_epoch_barriers};
 
@@ -286,13 +287,14 @@ fn crash_image_epoch_memo_is_sound_in_both_battery_states() {
             if mode.requires_epoch_barriers() {
                 w = with_epoch_barriers(w);
             }
+            let mut w = BatchStream::new(w);
             let mut sys = System::new(cfg.clone(), mode).expect("valid config");
-            sys.prepare(w.as_mut());
+            sys.prepare_stream(&mut w);
             let mut cursor = RunCursor::new(cfg.cores);
             let mut memo: [Option<(u64, NvmImage)>; 2] = [None, None];
             let mut at = 150;
             for _ in 0..40 {
-                let s = sys.run_until(w.as_mut(), &mut cursor, StopAt::Cycle(at));
+                let s = sys.run_until(&mut w, &mut cursor, StopAt::Cycle(at), None);
                 for (i, battery_ok) in [true, false].into_iter().enumerate() {
                     let epoch = sys.crash_image_epoch(battery_ok);
                     let image = sys.crash_image(battery_ok);
@@ -348,7 +350,7 @@ fn shrinker_emits_a_complete_regression_test() {
         "WorkloadKind::Hashmap",
         "PersistencyMode::BbbMemorySide",
         "StopAt::Cycle(777)",
-        "crash_now_battery_dropped()",
+        "crash_now(false)",
         "verify_recovery_report",
     ] {
         assert!(src.contains(needle), "missing {needle} in:\n{src}");

@@ -30,7 +30,7 @@ fn durability_stops_at_the_last_epoch_boundary() {
         ],
     )
     .unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     assert_eq!(img.read_u64(base), 0x11);
     assert_eq!(img.read_u64(base + 8), 0x22);
     assert_eq!(
@@ -50,7 +50,7 @@ fn bep_without_barriers_loses_everything_buffered() {
         .map(|i| Op::store_u64(base + i * 8, i + 1))
         .collect();
     sys.run_single_core(0, ops).unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     let survived = (0..8u64)
         .filter(|&i| img.read_u64(base + i * 8) != 0)
         .count();
@@ -74,7 +74,7 @@ fn bbb_needs_no_barriers_where_bep_does() {
     }
     let mut bbb = System::new(SimConfig::default(), PersistencyMode::BbbMemorySide).unwrap();
     bbb.run_single_core(0, ops).unwrap();
-    let img = bbb.crash_now();
+    let img = bbb.crash_now(true);
     for i in 0..8u64 {
         assert_eq!(img.read_u64(base + i * 8), i + 1);
     }
@@ -123,7 +123,7 @@ fn epoch_instrumented_workload_recovers_consistently() {
     sys.prepare(&mut w);
     sys.run(&mut w, 441); // crash mid-run
     let map = sys.address_map().clone();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     let buckets = (params.initial / 2).next_power_of_two().max(64);
     let n = check_hashmap_recovery(&img, &map, map.persistent_base(), buckets)
         .expect("epoch-delimited BEP image must be consistent");

@@ -37,7 +37,7 @@ fn publish_subscribe(mode: PersistencyMode, instrument: bool) -> Vec<String> {
     s.step_op(1, &Op::load_u64(flag));
     s.step_op(1, &Op::load_u64(data));
     s.drain_all_store_buffers();
-    s.crash_now();
+    s.crash_now(true);
     s.take_events().iter().map(TraceEvent::to_string).collect()
 }
 
@@ -117,7 +117,7 @@ fn traces_replay_clean_through_the_checker() {
         for op in &ops {
             s.step_op(0, op);
         }
-        s.crash_now();
+        s.crash_now(true);
         let report = PersistOrderChecker::run(mode, cfg.cores, &s.take_events());
         assert!(report.ok(), "{mode}: {:?}", report.witnesses);
         assert_eq!(report.persistent_stores, 2);

@@ -30,7 +30,7 @@ fn coherence_single_location_serializes() {
     }
     s.drain_all_store_buffers();
     s.check_invariants();
-    let img = s.crash_now();
+    let img = s.crash_now(true);
     let v = img.read_u64(a);
     assert!(
         (1..=32).contains(&v),
@@ -60,7 +60,7 @@ fn message_passing_respects_causality_in_crash_image() {
         // causality check is on the image).
         s.run_single_core(1, vec![Op::load_u64(flag), Op::load_u64(data)])
             .unwrap();
-        let img = s.crash_now();
+        let img = s.crash_now(true);
         if img.read_u64(flag) == 1 {
             assert_eq!(img.read_u64(data), 0xD0_0D, "flag implies data");
         }
@@ -88,7 +88,7 @@ fn tso_store_order_is_never_inverted_in_coherent_state() {
     // Core 1 reads y then x through coherence.
     s.step_op(1, &Op::load_u64(y));
     s.step_op(1, &Op::load_u64(x));
-    let img = s.crash_now();
+    let img = s.crash_now(true);
     if img.read_u64(y) == 1 {
         assert_eq!(img.read_u64(x), 1, "y=1 implies x=1 under TSO order");
     }
@@ -107,7 +107,7 @@ fn ownership_migration_never_loses_bytes() {
     }
     s.drain_all_store_buffers();
     s.check_invariants();
-    let img = s.crash_now();
+    let img = s.crash_now(true);
     for i in 0..8u64 {
         assert_eq!(img.read_u64(base + i * 8), i + 1, "word {i}");
     }
@@ -127,7 +127,7 @@ fn independent_writers_keep_their_own_causality() {
     s.step_op(1, &Op::store_u64(d1, 0xBB));
     s.step_op(1, &Op::store_u64(f1, 1));
     // Crash with store buffers battery-backed: everything committed is in.
-    let img = s.crash_now();
+    let img = s.crash_now(true);
     if img.read_u64(f0) == 1 {
         assert_eq!(img.read_u64(d0), 0xAA);
     }

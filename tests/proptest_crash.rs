@@ -46,7 +46,7 @@ fn prefix_durability_holds_for_any_geometry() {
             .map(|(i, &s)| Op::store_u64(base + s * 8, (i as u64) << 8 | 1))
             .collect();
         sys.run_single_core(0, ops).unwrap();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         // Each slot must hold the *last* value stored to it.
         let mut expect = vec![0u64; 64];
         for (i, &s) in slots.iter().enumerate() {
@@ -85,7 +85,7 @@ fn hashmap_recovers_from_random_crash_points() {
         sys.run(w.as_mut(), budget);
         sys.check_invariants();
         let map = sys.address_map().clone();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let buckets = (params.initial / 2).next_power_of_two().max(64);
         let n = check_hashmap_recovery(&img, &map, map.persistent_base(), buckets).unwrap_or_else(
             |e| panic!("case {case} (seed={seed} budget={budget}): corrupt image: {e}"),
@@ -123,7 +123,7 @@ fn swaps_never_tear() {
         let mut sys = System::new(cfg.clone(), mode).unwrap();
         sys.prepare(w.as_mut());
         sys.run(w.as_mut(), budget);
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let reserve = (cfg.persistent_heap_bytes / 8).clamp(4096, 1 << 21);
         let base = sys.address_map().persistent_base() + reserve;
         let elements = params.initial.div_ceil(2) * 2;
@@ -161,7 +161,7 @@ fn completed_runs_agree_with_architectural_memory() {
             let arch: Vec<u64> = (0..elements)
                 .map(|i| sys.arch_mem().read_u64(base + i * 8))
                 .collect();
-            let img = sys.crash_now();
+            let img = sys.crash_now(true);
             for (i, &a) in arch.iter().enumerate() {
                 assert_eq!(
                     img.read_u64(base + i as u64 * 8),

@@ -81,7 +81,7 @@ fn last_writer_wins_for_single_core_slots() {
             }
         }
         sys.drain_all_store_buffers();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         for (&addr, &(_, v)) in &last {
             if racy.contains(&addr) {
                 continue;

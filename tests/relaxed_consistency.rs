@@ -34,7 +34,7 @@ fn battery_backed_sb_preserves_program_order_under_relaxed_drain() {
     let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
     let base = sys.address_map().persistent_base();
     sys.run_single_core(0, reorder_prone_ops(base)).unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     let younger = img.read_u64(base + 0x40);
     let older = img.read_u64(base + 0x4000);
     if younger == 0xBBBB {
@@ -68,7 +68,7 @@ fn without_battery_backed_sb_reordering_is_observable() {
         ops.push(Op::store_u64(warm, i)); // younger: hit, coalesces
     }
     sys.run_single_core(0, ops).unwrap();
-    let img = sys.crash_now(); // SB contents are lost in this ablation
+    let img = sys.crash_now(true); // SB contents are lost in this ablation
     let v = img.read_u64(warm);
     assert!(v > 0, "some younger stores must have drained");
     let missing_older = (1..=v)
@@ -94,7 +94,7 @@ fn tso_drain_keeps_prefix_order_without_bb_sb() {
     let mut sys = System::new(cfg, PersistencyMode::BbbMemorySide).unwrap();
     let base = sys.address_map().persistent_base();
     sys.run_single_core(0, reorder_prone_ops(base)).unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     let warm_block = img.read_u64(base + 0x40);
     let older = img.read_u64(base + 0x4000);
     // Under TSO the younger store (0xBBBB) can only be durable if the
@@ -122,7 +122,7 @@ fn relaxed_and_tso_agree_after_full_drain() {
             .collect();
         sys.run_single_core(0, ops).unwrap();
         sys.drain_all_store_buffers();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         let state: Vec<u64> = (0..10u64).map(|i| img.read_u64(base + i * 0x400)).collect();
         images.push(state);
     }

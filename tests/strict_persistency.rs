@@ -23,7 +23,7 @@ fn bbb_prefix_durability_at_every_crash_point() {
             .map(|i| Op::store_u64(base + i * 8, i + 1))
             .collect();
         sys.run_single_core(0, ops).unwrap();
-        let img = sys.crash_now();
+        let img = sys.crash_now(true);
         for i in 0..n {
             let expect = if i < crash_after { i + 1 } else { 0 };
             assert_eq!(
@@ -43,7 +43,7 @@ fn bbb_coalesced_stores_keep_latest_value() {
     let base = sys.address_map().persistent_base();
     let ops: Vec<Op> = (0..100u64).map(|i| Op::store_u64(base, i)).collect();
     sys.run_single_core(0, ops).unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     assert_eq!(img.read_u64(base), 99);
 }
 
@@ -68,7 +68,7 @@ fn dependence_ordering_under_all_hardware_modes() {
             }
             ops.truncate(budget);
             sys.run_single_core(0, ops).unwrap();
-            let img = sys.crash_now();
+            let img = sys.crash_now(true);
             for i in 0..10u64 {
                 let flag = img.read_u64(base + i * 8);
                 if flag != 0 {
@@ -92,7 +92,7 @@ fn pmem_needs_flushes_for_durability() {
     let base = sys.address_map().persistent_base();
     sys.run_single_core(0, vec![Op::store_u64(base, 7)])
         .unwrap();
-    assert_eq!(sys.crash_now().read_u64(base), 0);
+    assert_eq!(sys.crash_now(true).read_u64(base), 0);
 
     // With clwb + sfence: durable.
     let mut sys = system(PersistencyMode::Pmem);
@@ -101,7 +101,7 @@ fn pmem_needs_flushes_for_durability() {
         vec![Op::store_u64(base, 7), Op::Clwb { addr: base }, Op::Fence],
     )
     .unwrap();
-    assert_eq!(sys.crash_now().read_u64(base), 7);
+    assert_eq!(sys.crash_now(true).read_u64(base), 7);
 }
 
 /// A store is never visible to another core before it is persistent
@@ -116,6 +116,6 @@ fn visibility_implies_persistence() {
     // Core 1 reads the block: coherence forwards core 0's value, which
     // means it must already be in the persistence domain.
     sys.run_single_core(1, vec![Op::load_u64(base)]).unwrap();
-    let img = sys.crash_now();
+    let img = sys.crash_now(true);
     assert_eq!(img.read_u64(base), 0x5EE_u64);
 }
