@@ -6,7 +6,7 @@
 
 use bbb_cache::MemoryPort;
 use bbb_mem::{DramController, NvmImage, NvmmController};
-use bbb_sim::{AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
+use bbb_sim::{Addr, AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
 
 /// Both memory controllers plus the address map that routes between them.
 #[derive(Debug, Clone)]
@@ -44,13 +44,18 @@ impl Memories {
         &mut self.nvmm
     }
 
-    /// Pre-loads media contents (warm start) without simulated time.
-    pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
-        if self.map.is_nvmm(block.base()) {
-            self.nvmm.load(block, data);
-        } else {
-            self.dram.load(block, data);
-        }
+    /// Pre-loads a block-aligned run of media contents starting at `base`
+    /// (warm start) without simulated time, split once at the DRAM/NVMM
+    /// boundary.
+    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
+        assert!(
+            base + bytes.len() as u64 <= self.map.end(),
+            "load outside memory"
+        );
+        let split = (self.map.nvmm_base().saturating_sub(base) as usize).min(bytes.len());
+        let (dram, nvmm) = bytes.split_at(split);
+        self.dram.load(base, dram);
+        self.nvmm.load(base + split as u64, nvmm);
     }
 
     /// The post-crash NVMM image (media + battery-backed WPQ).
@@ -123,8 +128,8 @@ mod tests {
     fn load_routes_and_skips_counters() {
         let mut m = mems();
         let nv = BlockAddr::containing(m.map().persistent_base());
-        m.load(nv, &[7; 64]);
-        m.load(BlockAddr::from_index(1), &[8; 64]);
+        m.load(nv.base(), &[7; 64]);
+        m.load(BlockAddr::from_index(1).base(), &[8; 64]);
         assert_eq!(m.stats().get("nvmm.writes"), 0);
         assert_eq!(m.stats().get("dram.writes"), 0);
         assert_eq!(m.crash_image().read_block(nv), [7; 64]);

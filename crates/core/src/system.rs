@@ -360,7 +360,7 @@ impl System {
             + bbb_sim::BLOCK_BYTES as u64;
         let mut blocks = vec![0u8; (end - start) as usize];
         self.arch.read(start, &mut blocks);
-        load_media(&mut self.memories, start, &blocks);
+        self.memories.load(start, &blocks);
     }
 
     /// Pre-loads one `u64` (convenience over [`System::preload`]).
@@ -398,7 +398,7 @@ impl System {
     /// backing media without consuming simulated time.
     pub fn sync_media_from_arch(&mut self) {
         for (base, page) in self.arch.iter_pages() {
-            load_media(&mut self.memories, base, page);
+            self.memories.load(base, page);
         }
     }
 
@@ -1308,18 +1308,6 @@ impl System {
     }
 }
 
-/// Loads a block-aligned run of bytes starting at `base` into the backing
-/// media, block by block.
-fn load_media(memories: &mut Memories, base: u64, bytes: &[u8]) {
-    for (i, block) in bytes.chunks_exact(bbb_sim::BLOCK_BYTES).enumerate() {
-        let data = block.try_into().expect("chunks_exact yields whole blocks");
-        memories.load(
-            BlockAddr::containing(base + (i * bbb_sim::BLOCK_BYTES) as u64),
-            data,
-        );
-    }
-}
-
 /// Merges per-core queues of `(commit cycle, seq, item)` into coherence
 /// order τ = (commit cycle, core, per-core sequence), taking only queue
 /// fronts so each core's own FIFO order is kept. Yields `(core, item)`.
@@ -1341,6 +1329,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbb_sim::BLOCK_BYTES;
 
     fn sys(mode: PersistencyMode) -> System {
         System::new(SimConfig::small_for_tests(), mode).expect("valid config")
@@ -1472,6 +1461,53 @@ mod tests {
         assert_eq!(s.arch_mem().read_u64(a), 0x77);
         let img = s.crash_now(true);
         assert_eq!(img.read_u64(a), 0x77);
+    }
+
+    /// Reference for the run-based `Memories::load`: one load per block.
+    fn load_per_block(memories: &mut Memories, base: u64, bytes: &[u8]) {
+        for (i, block) in bytes.chunks_exact(BLOCK_BYTES).enumerate() {
+            memories.load(base + (i * BLOCK_BYTES) as u64, block);
+        }
+    }
+
+    #[test]
+    fn run_based_media_sync_matches_per_block_reference() {
+        let mut s = sys(PersistencyMode::BbbMemorySide);
+        let nvmm = s.address_map().nvmm_base();
+        let mut reference = s.memories.clone();
+        // Arch pages on both sides of the DRAM/NVMM boundary.
+        let pattern: Vec<u8> = (0..3 * 4096 + 200).map(|i| (i * 7 + 1) as u8).collect();
+        s.arch_mem_mut().write(0x2000, &pattern);
+        s.arch_mem_mut().write(nvmm - 4096, &pattern);
+        s.arch_mem_mut().write_u64(nvmm + 0x9008, 0x5A);
+        s.sync_media_from_arch();
+        for (base, page) in s.arch.iter_pages() {
+            load_per_block(&mut reference, base, page);
+        }
+        // One preload run straddling the boundary, unaligned at both ends.
+        let run: Vec<u8> = (0..300u32).map(|i| i as u8 ^ 0xC3).collect();
+        let at = nvmm - 100;
+        s.preload(at, &run);
+        let start = BlockAddr::containing(at).base();
+        let end = BlockAddr::containing(at + run.len() as u64 - 1).base() + BLOCK_BYTES as u64;
+        let mut blocks = vec![0u8; (end - start) as usize];
+        s.arch.read(start, &mut blocks);
+        load_per_block(&mut reference, start, &blocks);
+
+        let stats = s.memories.stats();
+        assert_eq!(stats, reference.stats());
+        assert!(stats.get("nvmm.media_pages") >= 4, "{stats:?}");
+        assert_eq!(s.memories.crash_image(), reference.crash_image());
+        for (base, _) in s.arch.iter_pages() {
+            for block in (base..base + 4096)
+                .step_by(BLOCK_BYTES)
+                .map(BlockAddr::containing)
+            {
+                let (_, got) = s.memories.read_block(0, block);
+                assert_eq!(got, reference.read_block(0, block).1, "{block:?}");
+            }
+        }
+        assert_eq!(s.memories.stats(), reference.stats());
     }
 
     #[test]

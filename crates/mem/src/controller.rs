@@ -6,7 +6,9 @@
 //! owns the [`WritePendingQueue`] (the ADR persistence domain) and an
 //! [`EnduranceTracker`].
 
-use bbb_sim::{BlockAddr, Counter, Cycle, MemTiming, Stats, TraceEvent, TraceLog, BLOCK_BYTES};
+use bbb_sim::{
+    Addr, BlockAddr, Counter, Cycle, MemTiming, Stats, TraceEvent, TraceLog, BLOCK_BYTES,
+};
 
 use crate::backing::ByteStore;
 use crate::endurance::EnduranceTracker;
@@ -76,10 +78,11 @@ impl DramController {
         completion
     }
 
-    /// Pre-loads media contents without consuming simulated time (warm
-    /// start before measurement begins).
-    pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
-        self.media.write_block(block, data);
+    /// Pre-loads a block-aligned run of media contents starting at
+    /// `base` without consuming simulated time (warm start before
+    /// measurement begins).
+    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
+        self.media.write(base, bytes);
     }
 
     /// Exports counters under the `dram.` prefix.
@@ -204,9 +207,10 @@ impl NvmmController {
         }
     }
 
-    /// Pre-loads media contents without consuming simulated time.
-    pub fn load(&mut self, block: BlockAddr, data: &[u8; BLOCK_BYTES]) {
-        self.media.write_block(block, data);
+    /// Pre-loads a block-aligned run of media contents starting at
+    /// `base` without consuming simulated time.
+    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
+        self.media.write(base, bytes);
     }
 
     /// Snapshot of the persistent image at a crash: media plus the WPQ,
@@ -317,7 +321,7 @@ mod tests {
     fn dram_load_is_instant() {
         let mut d = DramController::new(timing());
         let b = BlockAddr::from_index(2);
-        d.load(b, &[3; 64]);
+        d.load(b.base(), &[3; 64]);
         let (_, data) = d.read(0, b);
         assert_eq!(data, [3; 64]);
         assert_eq!(d.stats().get("dram.writes"), 0);
@@ -337,7 +341,7 @@ mod tests {
     fn nvmm_read_latency_and_data() {
         let mut n = NvmmController::new(timing());
         let b = BlockAddr::from_index(6);
-        n.load(b, &[4; 64]);
+        n.load(b.base(), &[4; 64]);
         let (done, data) = n.read(0, b);
         assert_eq!(done, 300);
         assert_eq!(data, [4; 64]);
@@ -450,7 +454,7 @@ mod port_tests {
     fn nvmm_port_rmw_patches_bytes_with_one_write() {
         let mut n = NvmmController::new(MemTiming::default());
         let b = BlockAddr::from_index(2);
-        n.load(b, &[0xAA; 64]);
+        n.load(b.base(), &[0xAA; 64]);
         n.rmw_block(0, b, 8, &[1, 2, 3]);
         assert_eq!(n.endurance().total_writes(), 1);
         assert_eq!(n.stats().get("nvmm.reads"), 0, "media patched directly");

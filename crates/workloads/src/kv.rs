@@ -43,7 +43,7 @@
 
 use bbb_core::OpStream;
 use bbb_cpu::Op;
-use bbb_mem::{ByteStore, NvmImage};
+use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
 use bbb_sim::{Addr, SplitMix64, ZipfSampler};
 
 /// High-bits tag marking a live KV slot (`"KVBB"` in ASCII-ish hex).
@@ -51,6 +51,24 @@ pub const KV_TAG: u64 = 0x4B56_4242_0000_0000;
 
 /// Slot stride: one cache line per key.
 pub const SLOT_BYTES: u64 = 64;
+
+/// Odd multiplier of the slot scatter (see [`KvLayout::slot_addr`]).
+const SCATTER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// [`SCATTER`]'s inverse mod 2⁶⁴, by Newton's iteration: an odd number is
+/// its own inverse mod 8, and each step doubles the correct low bits.
+/// Being an inverse mod 2⁶⁴, it also inverts the scatter mod every
+/// power-of-two capacity.
+const UNSCATTER: u64 = {
+    let mut inv = SCATTER;
+    let mut step = 0;
+    while step < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(SCATTER.wrapping_mul(inv)));
+        step += 1;
+    }
+    inv
+};
+const _: () = assert!(SCATTER.wrapping_mul(UNSCATTER) == 1);
 
 /// How far the payload's version may run ahead of (or behind) the
 /// version word in a consistent image. Concurrent updates of the same
@@ -209,8 +227,23 @@ impl KvLayout {
     /// packed at the region start.
     #[must_use]
     pub fn slot_addr(&self, tenant: usize, idx: u64) -> Addr {
-        let scattered = idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (self.cap_per_tenant - 1);
-        self.base + (tenant as u64 * self.cap_per_tenant + scattered) * SLOT_BYTES
+        self.slot_at(
+            tenant,
+            idx.wrapping_mul(SCATTER) & (self.cap_per_tenant - 1),
+        )
+    }
+
+    /// Logical index of the key whose slot is the `pos`-th of its tenant
+    /// region: the inverse of the scatter in [`KvLayout::slot_addr`], so
+    /// walking `pos` upwards visits a tenant's slots in address order.
+    #[must_use]
+    pub fn key_at(&self, pos: u64) -> u64 {
+        pos.wrapping_mul(UNSCATTER) & (self.cap_per_tenant - 1)
+    }
+
+    /// Address of the `pos`-th slot of `tenant`'s region.
+    fn slot_at(&self, tenant: usize, pos: u64) -> Addr {
+        self.base + (tenant as u64 * self.cap_per_tenant + pos) * SLOT_BYTES
     }
 
     /// Expected tag word of a live slot.
@@ -357,14 +390,44 @@ impl OpStream for KvWorkload {
         &self.name
     }
 
+    /// Populates every initial key at version 1 (tag, version, payload).
+    /// Slots are visited in address order through [`KvLayout::key_at`],
+    /// and each page that holds a key is written once: its current
+    /// contents with those 24 bytes of each of its keys patched in. Every
+    /// other byte keeps its value, and a page without a key is never
+    /// materialised.
     fn setup(&mut self, arch: &mut ByteStore) {
-        for tenant in 0..self.layout.tenants {
-            for idx in 0..self.layout.initial_per_tenant {
-                let slot = self.layout.slot_addr(tenant, idx);
-                arch.write_u64(slot, self.layout.tag_of(tenant, idx));
-                arch.write_u64(slot + 8, 1);
-                arch.write_u64(slot + 16, self.layout.payload_of(tenant, idx, 1));
+        let layout = self.layout;
+        let mut image = vec![0u8; PAGE_BYTES];
+        let mut page = None;
+        for tenant in 0..layout.tenants {
+            for pos in 0..layout.cap_per_tenant {
+                let idx = layout.key_at(pos);
+                if idx >= layout.initial_per_tenant {
+                    continue;
+                }
+                let slot = layout.slot_at(tenant, pos);
+                let base = slot & !(PAGE_BYTES as u64 - 1);
+                if page != Some(base) {
+                    if let Some(done) = page {
+                        arch.write(done, &image);
+                    }
+                    arch.read(base, &mut image);
+                    page = Some(base);
+                }
+                let words = [
+                    layout.tag_of(tenant, idx),
+                    1,
+                    layout.payload_of(tenant, idx, 1),
+                ];
+                let live = image[(slot - base) as usize..].chunks_exact_mut(8);
+                for (bytes, word) in live.zip(words) {
+                    bytes.copy_from_slice(&word.to_le_bytes());
+                }
             }
+        }
+        if let Some(done) = page {
+            arch.write(done, &image);
         }
     }
 
@@ -383,18 +446,21 @@ impl OpStream for KvWorkload {
 /// Verifies a post-crash image against the KV slot invariants. Every
 /// initially-populated slot, and every inserted slot whose tag was
 /// published, must hold `payload_of(key, v)` for a `v` within
-/// [`RACE_WINDOW`] of the recovered version word. Returns the number of
+/// [`RACE_WINDOW`] of the recovered version word. Slots are read in
+/// address order (through [`KvLayout::key_at`]). Returns the number of
 /// live slots verified.
 ///
 /// # Errors
 ///
-/// Returns a description of the first inconsistent slot — expected for
-/// uninstrumented PMEM images, never for battery-backed modes.
+/// Returns a description of the first inconsistent slot in address
+/// order — expected for uninstrumented PMEM images, never for
+/// battery-backed modes.
 pub fn check_kv_recovery(image: &NvmImage, layout: &KvLayout) -> Result<u64, String> {
     let mut recovered = 0u64;
     for tenant in 0..layout.tenants {
-        for idx in 0..layout.cap_per_tenant {
-            let slot = layout.slot_addr(tenant, idx);
+        for pos in 0..layout.cap_per_tenant {
+            let idx = layout.key_at(pos);
+            let slot = layout.slot_at(tenant, pos);
             let tag = image.read_u64(slot);
             if tag == 0 {
                 // Never populated (insert headroom, or a torn insert whose
@@ -461,11 +527,94 @@ mod tests {
         let layout = KvLayout::new(0x1000, 1000, 4, 100);
         assert!(layout.cap_per_tenant.is_power_of_two());
         assert!(layout.cap_per_tenant >= layout.initial_per_tenant);
-        // The odd-multiplier scatter is a bijection on 0..cap.
+        // The odd-multiplier scatter is a bijection on 0..cap, and
+        // `key_at` is its inverse.
         let mut seen = std::collections::HashSet::new();
         for idx in 0..layout.cap_per_tenant {
-            assert!(seen.insert(layout.slot_addr(0, idx)));
+            let slot = layout.slot_addr(1, idx);
+            assert!(seen.insert(slot));
+            let pos = (slot - layout.slot_at(1, 0)) / SLOT_BYTES;
+            assert!(pos < layout.cap_per_tenant);
+            assert_eq!(layout.key_at(pos), idx);
         }
+        for pos in 0..layout.cap_per_tenant {
+            assert_eq!(
+                layout.slot_addr(1, layout.key_at(pos)),
+                layout.slot_at(1, pos)
+            );
+        }
+    }
+
+    /// Reference for `KvWorkload::setup`: one `write_u64` per live word,
+    /// in logical-key order.
+    fn setup_per_word(layout: &KvLayout, arch: &mut ByteStore) {
+        for tenant in 0..layout.tenants {
+            for idx in 0..layout.initial_per_tenant {
+                let slot = layout.slot_addr(tenant, idx);
+                arch.write_u64(slot, layout.tag_of(tenant, idx));
+                arch.write_u64(slot + 8, 1);
+                arch.write_u64(slot + 16, layout.payload_of(tenant, idx, 1));
+            }
+        }
+    }
+
+    fn assert_setup_matches_per_word(layout: KvLayout, arch: &ByteStore) {
+        let mut reference = arch.clone();
+        setup_per_word(&layout, &mut reference);
+        let mut bulk = arch.clone();
+        KvWorkload::new(layout, spec(KvMix::A), 2).setup(&mut bulk);
+        assert_eq!(bulk, reference, "{layout:?}");
+        assert_eq!(
+            bulk.resident_pages(),
+            reference.resident_pages(),
+            "{layout:?}"
+        );
+    }
+
+    #[test]
+    fn bulk_setup_is_bit_identical_to_per_word_writes() {
+        let cfg = SimConfig::small_for_tests();
+        let pbase = AddressMap::new(&cfg).persistent_base();
+        let layouts = [
+            small_layout(&cfg),
+            // Tenant regions of 512 bytes: several tenants share a page.
+            KvLayout::new(pbase, 16, 4, 4),
+            // Not page-aligned: pages straddle tenant regions.
+            KvLayout::new(0x1040, 1000, 4, 100),
+            // Sparse: 8 keys over 16 pages, so most pages hold no key.
+            KvLayout::new(0x10_0000, 8, 1, 1000),
+        ];
+        for layout in layouts {
+            assert_setup_matches_per_word(layout, &ByteStore::new());
+            // Nonzero bytes everywhere, headroom slots and slot tails
+            // included, must survive the preload.
+            let mut arch = ByteStore::new();
+            let start = layout.base - PAGE_BYTES as u64;
+            let fill: Vec<u8> = (0..layout.bytes() + 2 * PAGE_BYTES as u64)
+                .map(|i| (i % 251) as u8 | 1)
+                .collect();
+            arch.write(start, &fill);
+            assert_setup_matches_per_word(layout, &arch);
+        }
+    }
+
+    #[test]
+    fn address_order_oracle_counts_every_live_slot() {
+        let layout = KvLayout::new(0x1040, 1000, 4, 100);
+        let mut arch = ByteStore::new();
+        KvWorkload::new(layout, spec(KvMix::A), 2).setup(&mut arch);
+        let image = NvmImage::from_store(arch.clone());
+        assert_eq!(
+            check_kv_recovery(&image, &layout),
+            Ok(layout.initial_per_tenant * layout.tenants as u64)
+        );
+        // Break two keys: the report names the lower slot address.
+        let (a, b) = (layout.slot_addr(2, 3), layout.slot_addr(2, 4));
+        arch.write_u64(a + 16, 0);
+        arch.write_u64(b + 16, 0);
+        let first = if a < b { 3 } else { 4 };
+        let err = check_kv_recovery(&NvmImage::from_store(arch), &layout).unwrap_err();
+        assert!(err.starts_with(&format!("tenant 2 key {first}:")), "{err}");
     }
 
     #[test]
