@@ -29,6 +29,7 @@ use bbb_sim::{
 
 use crate::crash::CrashCost;
 use crate::latency::PersistLatencyTracker;
+use crate::litmus::ScheduledOps;
 use crate::memories::Memories;
 use crate::mode::PersistencyMode;
 use crate::persist::PersistState;
@@ -403,22 +404,21 @@ impl System {
     }
 
     /// Runs a complete op stream on one core (single-threaded experiments
-    /// and examples), returning the completion cycle. The store buffer is
-    /// *not* force-drained afterwards — crash semantics stay observable.
+    /// and examples) through [`System::run_until`], returning the
+    /// completion cycle. The store buffer is *not* force-drained
+    /// afterwards — crash semantics stay observable.
     ///
     /// # Errors
     ///
     /// Returns [`SystemError::CoreOutOfRange`] for a bad core index.
     pub fn run_single_core(&mut self, core: usize, ops: Vec<Op>) -> Result<Cycle, SystemError> {
-        if core >= self.cores.len() {
-            return Err(SystemError::CoreOutOfRange {
-                core,
-                cores: self.cores.len(),
-            });
+        let cores = self.cores.len();
+        if core >= cores {
+            return Err(SystemError::CoreOutOfRange { core, cores });
         }
-        for op in ops {
-            self.step_op(core, &op);
-        }
+        let schedule: Vec<(usize, Op)> = ops.into_iter().map(|op| (core, op)).collect();
+        let mut stream = ScheduledOps::new(&schedule, cores);
+        self.run_until(&mut stream, &mut RunCursor::new(cores), StopAt::End, None);
         Ok(self.cores[core].ready_at)
     }
 

@@ -56,7 +56,6 @@ pub struct ArrayWorkload {
     rngs: Vec<SplitMix64>,
     remaining: Vec<u64>,
     instrument: bool,
-    ops_done: u64,
 }
 
 impl ArrayWorkload {
@@ -95,14 +94,7 @@ impl ArrayWorkload {
             rngs: (0..cores).map(|_| master.split()).collect(),
             remaining: vec![per_core_ops; cores],
             instrument,
-            ops_done: 0,
         }
-    }
-
-    /// Operations performed so far.
-    #[must_use]
-    pub fn ops_done(&self) -> u64 {
-        self.ops_done
     }
 
     fn slot(&self, index: u64) -> Addr {
@@ -143,14 +135,13 @@ impl Workload for ArrayWorkload {
             return None;
         }
         self.remaining[core] -= 1;
-        self.ops_done += 1;
         let map = self.map.clone();
-        let mut b = OpBuilder::new(&map, self.instrument);
+        let mut b = OpBuilder::new(&map, arch, self.instrument);
         match self.kind {
             ArrayOpKind::Mutate => {
                 let i = self.pick(core);
                 let a = self.slot(i);
-                let v = b.load_u64(arch, a);
+                let v = b.load_u64(a);
                 // Mutate the low payload bits, preserving the tag.
                 let nv = (v & 0xFFFF_0000_0000_0000) | ((v + 1) & 0xFFFF_FFFF_FFFF);
                 b.store_u64(a, nv);
@@ -159,8 +150,8 @@ impl Workload for ArrayWorkload {
                 let i = self.pick(core);
                 let j = self.pick(core);
                 let (ai, aj) = (self.slot(i), self.slot(j));
-                let vi = b.load_u64(arch, ai);
-                let vj = b.load_u64(arch, aj);
+                let vi = b.load_u64(ai);
+                let vj = b.load_u64(aj);
                 b.store_u64(ai, vj);
                 b.store_u64(aj, vi);
             }

@@ -14,14 +14,11 @@
 //! pointer in internal nodes. Internal entry *k* routes keys `>= key`;
 //! every internal node keeps a leftmost entry with key 0.
 
-use bbb_core::Workload;
-use bbb_cpu::Op;
 use bbb_mem::{ByteStore, ImageReader, NvmImage};
 use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
-use crate::locks::InsertLock;
-use crate::palloc::Palloc;
+use crate::insert::{Heap, InsertStructure, InsertWorkload};
 
 /// Entries per node.
 pub const FANOUT: usize = 8;
@@ -40,103 +37,86 @@ fn entry_addr(node: Addr, i: usize) -> Addr {
     node + 8 + i as u64 * 16
 }
 
-/// A persistent B+-tree driven as a multi-core workload.
-#[derive(Debug)]
-pub struct BtreeWorkload {
+/// The persistent B+-tree: a root-pointer slot, and inserts that append
+/// into unsorted nodes.
+#[derive(Debug, Clone)]
+pub struct Btree {
     root_slot: Addr,
-    map: AddressMap,
-    palloc: Palloc,
-    rngs: Vec<SplitMix64>,
-    remaining: Vec<u64>,
-    initial: u64,
-    instrument: bool,
-    inserted: u64,
-    lock: InsertLock,
 }
 
-impl BtreeWorkload {
-    /// Creates the workload; `root_slot` is a reserved root-pointer slot.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        map: AddressMap,
-        root_slot: Addr,
-        palloc: Palloc,
-        cores: usize,
-        initial: u64,
-        per_core_ops: u64,
-        seed: u64,
-        instrument: bool,
-    ) -> Self {
-        let mut master = SplitMix64::new(seed);
-        Self {
-            root_slot,
-            map,
-            palloc,
-            rngs: (0..cores).map(|_| master.split()).collect(),
-            remaining: vec![per_core_ops; cores],
-            initial,
-            instrument,
-            inserted: 0,
-            lock: InsertLock::new(),
-        }
-    }
+/// The B+-tree driven as a multi-core insert workload.
+pub type BtreeWorkload = InsertWorkload<Btree>;
 
-    /// Keys inserted (setup + measured).
+impl Btree {
+    /// A B+-tree whose root pointer lives at the reserved `root_slot`.
     #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
+    pub fn new(root_slot: Addr) -> Self {
+        Self { root_slot }
     }
+}
+
+/// Reads a node's `count` entries as (key, payload) pairs.
+fn read_entries(b: &mut OpBuilder<'_>, node: Addr, count: usize) -> Vec<(u64, u64)> {
+    (0..count)
+        .map(|i| {
+            (
+                b.load_u64(entry_addr(node, i)),
+                b.load_u64(entry_addr(node, i) + 8),
+            )
+        })
+        .collect()
+}
+
+/// Writes `entries` into `node` from slot 0, then its header.
+fn write_node(b: &mut OpBuilder<'_>, node: Addr, header_flags: u64, entries: &[(u64, u64)]) {
+    for (i, (k, v)) in entries.iter().enumerate() {
+        b.store_u64(entry_addr(node, i), *k);
+        b.store_u64(entry_addr(node, i) + 8, *v);
+    }
+    b.store_u64(node, header_flags | entries.len() as u64);
+}
+
+/// Sorts `entries` and splits off the upper half, returning it with its
+/// first key (the separator).
+fn split_sorted(entries: &mut Vec<(u64, u64)>) -> (Vec<(u64, u64)>, u64) {
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    let right = entries.split_off(entries.len() / 2);
+    let sep = right[0].0;
+    (right, sep)
+}
+
+impl InsertStructure for Btree {
+    type Key = u64;
+    const NAME: &'static str = "btree";
+    const SETUP_SEED: u64 = 0xB7EE_0001;
+    // Unsorted in-place appends race: two cores would claim the same slot.
+    const LOCKED: bool = true;
 
     fn random_key(rng: &mut SplitMix64) -> u64 {
         rng.next_u64() | 1 // nonzero: 0 is the internal leftmost sentinel
     }
 
-    /// One insert; `b = None` runs functionally (setup), otherwise emits
-    /// ops. Returns false when the allocator is exhausted.
-    fn insert(
-        &mut self,
-        arch: &mut ByteStore,
-        core: usize,
-        key: u64,
-        mut b: Option<&mut OpBuilder<'_>>,
-    ) -> bool {
-        macro_rules! rd {
-            ($addr:expr) => {
-                match b.as_deref_mut() {
-                    Some(bb) => bb.load_u64(arch, $addr),
-                    None => arch.read_u64($addr),
-                }
-            };
-        }
-        macro_rules! wr {
-            ($addr:expr, $v:expr) => {
-                match b.as_deref_mut() {
-                    Some(bb) => bb.store_u64($addr, $v),
-                    None => arch.write_u64($addr, $v),
-                }
-            };
-        }
+    fn init_roots(&self, arch: &mut ByteStore) {
+        arch.write_u64(self.root_slot, 0);
+    }
 
-        let root = rd!(self.root_slot);
+    fn insert(&self, b: &mut OpBuilder<'_>, heap: &mut Heap, key: u64) -> Option<bool> {
+        let root = b.load_u64(self.root_slot);
         if root == 0 {
-            let Some(node) = self.palloc.alloc(core, NODE_BYTES) else {
-                return false;
-            };
-            wr!(entry_addr(node, 0), key);
-            wr!(entry_addr(node, 0) + 8, key.wrapping_mul(5));
-            wr!(node, LEAF_FLAG | 1);
-            wr!(self.root_slot, node); // publish
-            self.inserted += 1;
-            return true;
+            let node = heap.alloc(NODE_BYTES)?;
+            b.store_u64(entry_addr(node, 0), key);
+            b.store_u64(entry_addr(node, 0) + 8, key.wrapping_mul(5));
+            b.store_u64(node, LEAF_FLAG | 1);
+            b.store_u64(self.root_slot, node); // publish
+            return Some(true);
         }
 
         // Descend: at each internal node pick the entry with the largest
         // separator key <= key (entries are unsorted; linear scan).
-        let mut path: Vec<(Addr, usize)> = Vec::with_capacity(8);
+        let mut path: Vec<Addr> = Vec::with_capacity(8);
         let mut p = root;
         loop {
-            let h = rd!(p);
+            let h = b.load_u64(p);
             if hdr_is_leaf(h) {
                 break;
             }
@@ -145,146 +125,66 @@ impl BtreeWorkload {
             let mut best = 0usize;
             let mut best_key = 0u64;
             for i in 0..count {
-                let k = rd!(entry_addr(p, i));
+                let k = b.load_u64(entry_addr(p, i));
                 if k <= key && k >= best_key {
                     best_key = k;
                     best = i;
                 }
             }
-            path.push((p, best));
-            p = rd!(entry_addr(p, best) + 8);
+            path.push(p);
+            p = b.load_u64(entry_addr(p, best) + 8);
         }
 
         // Append into the leaf if it has room: a single count store
         // publishes the insert.
-        let h = rd!(p);
+        let h = b.load_u64(p);
         let count = hdr_count(h);
         if count < FANOUT {
-            wr!(entry_addr(p, count), key);
-            wr!(entry_addr(p, count) + 8, key.wrapping_mul(5));
-            wr!(p, h + 1); // publish
-            self.inserted += 1;
-            return true;
+            b.store_u64(entry_addr(p, count), key);
+            b.store_u64(entry_addr(p, count) + 8, key.wrapping_mul(5));
+            b.store_u64(p, h + 1); // publish
+            return Some(true);
         }
 
         // Leaf full: split around the median, then propagate.
-        let mut entries: Vec<(u64, u64)> = (0..count)
-            .map(|i| (rd!(entry_addr(p, i)), rd!(entry_addr(p, i) + 8)))
-            .collect();
+        let mut entries = read_entries(b, p, count);
         entries.push((key, key.wrapping_mul(5)));
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let mid = entries.len() / 2;
-        let right_entries = entries.split_off(mid);
-        let sep = right_entries[0].0;
-
-        let Some(mut right) = self.palloc.alloc(core, NODE_BYTES) else {
-            return false;
-        };
-        for (i, (k, v)) in right_entries.iter().enumerate() {
-            wr!(entry_addr(right, i), *k);
-            wr!(entry_addr(right, i) + 8, *v);
-        }
-        wr!(right, LEAF_FLAG | right_entries.len() as u64);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            wr!(entry_addr(p, i), *k);
-            wr!(entry_addr(p, i) + 8, *v);
-        }
-        wr!(p, LEAF_FLAG | entries.len() as u64);
+        let (right_entries, mut sep) = split_sorted(&mut entries);
+        let mut right = heap.alloc(NODE_BYTES)?;
+        write_node(b, right, LEAF_FLAG, &right_entries);
+        write_node(b, p, LEAF_FLAG, &entries);
 
         // Propagate (sep, right) up the saved path.
-        let mut sep = sep;
         let mut split_left = p;
         loop {
-            let Some((parent, _)) = path.pop() else {
-                // Root split: new root with sentinel-left + sep-right.
-                let Some(newroot) = self.palloc.alloc(core, NODE_BYTES) else {
-                    return false;
-                };
-                wr!(entry_addr(newroot, 0), 0); // sentinel routes keys < sep
-                wr!(entry_addr(newroot, 0) + 8, split_left);
-                wr!(entry_addr(newroot, 1), sep);
-                wr!(entry_addr(newroot, 1) + 8, right);
-                wr!(newroot, 2);
-                wr!(self.root_slot, newroot); // publish
+            let Some(parent) = path.pop() else {
+                // Root split: new root with sentinel-left + sep-right (the
+                // sentinel key 0 routes keys < sep).
+                let newroot = heap.alloc(NODE_BYTES)?;
+                write_node(b, newroot, 0, &[(0, split_left), (sep, right)]);
+                b.store_u64(self.root_slot, newroot); // publish
                 break;
             };
-            let ph = rd!(parent);
+            let ph = b.load_u64(parent);
             let pcount = hdr_count(ph);
             if pcount < FANOUT {
-                wr!(entry_addr(parent, pcount), sep);
-                wr!(entry_addr(parent, pcount) + 8, right);
-                wr!(parent, ph + 1); // publish
+                b.store_u64(entry_addr(parent, pcount), sep);
+                b.store_u64(entry_addr(parent, pcount) + 8, right);
+                b.store_u64(parent, ph + 1); // publish
                 break;
             }
             // Parent full: split it the same way.
-            let mut pentries: Vec<(u64, u64)> = (0..pcount)
-                .map(|i| (rd!(entry_addr(parent, i)), rd!(entry_addr(parent, i) + 8)))
-                .collect();
+            let mut pentries = read_entries(b, parent, pcount);
             pentries.push((sep, right));
-            pentries.sort_unstable_by_key(|&(k, _)| k);
-            let mid = pentries.len() / 2;
-            let pright_entries = pentries.split_off(mid);
-            let psep = pright_entries[0].0;
-            let Some(pright) = self.palloc.alloc(core, NODE_BYTES) else {
-                return false;
-            };
-            for (i, (k, v)) in pright_entries.iter().enumerate() {
-                wr!(entry_addr(pright, i), *k);
-                wr!(entry_addr(pright, i) + 8, *v);
-            }
-            wr!(pright, pright_entries.len() as u64);
-            for (i, (k, v)) in pentries.iter().enumerate() {
-                wr!(entry_addr(parent, i), *k);
-                wr!(entry_addr(parent, i) + 8, *v);
-            }
-            wr!(parent, pentries.len() as u64);
+            let (pright_entries, psep) = split_sorted(&mut pentries);
+            let pright = heap.alloc(NODE_BYTES)?;
+            write_node(b, pright, 0, &pright_entries);
+            write_node(b, parent, 0, &pentries);
             sep = psep;
             split_left = parent;
             right = pright;
         }
-        self.inserted += 1;
-        true
-    }
-}
-
-impl Workload for BtreeWorkload {
-    fn name(&self) -> &str {
-        "btree"
-    }
-
-    fn setup(&mut self, arch: &mut ByteStore) {
-        arch.write_u64(self.root_slot, 0);
-        let cores = self.rngs.len();
-        let mut rng = SplitMix64::new(0xB7EE_0001);
-        for i in 0..self.initial {
-            let key = Self::random_key(&mut rng);
-            let core = (i % cores as u64) as usize;
-            if !self.insert(arch, core, key, None) {
-                break;
-            }
-        }
-    }
-
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        self.lock.release_if_held(core);
-        if core >= self.remaining.len() || self.remaining[core] == 0 {
-            return None;
-        }
-        if !self.lock.try_acquire(core) {
-            // Unsorted in-place appends race (two cores would claim the
-            // same slot), so inserts are lock-based: spin until the
-            // holder's batch commits.
-            return Some(InsertLock::spin_batch());
-        }
-        self.remaining[core] -= 1;
-        let key = Self::random_key(&mut self.rngs[core]);
-        let map = self.map.clone();
-        let mut b = OpBuilder::new(&map, self.instrument);
-        if !self.insert(arch, core, key, Some(&mut b)) {
-            self.lock.release();
-            return None;
-        }
-        Some(b.finish())
+        Some(true)
     }
 }
 
@@ -346,15 +246,30 @@ pub fn check_btree_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadParams;
     use bbb_core::{PersistencyMode, System};
     use bbb_sim::SimConfig;
 
+    fn workload(
+        map: &AddressMap,
+        cores: usize,
+        initial: u64,
+        per_core: u64,
+        seed: u64,
+    ) -> BtreeWorkload {
+        let root = Btree::new(map.persistent_base());
+        let params = WorkloadParams {
+            initial,
+            per_core_ops: per_core,
+            seed,
+            instrument: false,
+        };
+        BtreeWorkload::new(root, map.clone(), cores, 4096, params)
+    }
+
     fn build(mode: PersistencyMode, initial: u64, per_core: u64) -> (System, BtreeWorkload) {
         let sys = System::new(SimConfig::small_for_tests(), mode).unwrap();
-        let map = sys.address_map().clone();
-        let root = map.persistent_base();
-        let palloc = Palloc::new(&map, 2, 4096);
-        let w = BtreeWorkload::new(map, root, palloc, 2, initial, per_core, 11, false);
+        let w = workload(sys.address_map(), 2, initial, per_core, 11);
         (sys, w)
     }
 
@@ -399,12 +314,8 @@ mod tests {
     #[test]
     fn eadr_full_run_matches_functional_count() {
         // Single-core workload keeps the comparison exact.
-        let sys0 = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
-        let map0 = sys0.address_map().clone();
-        let root0 = map0.persistent_base();
-        let palloc0 = Palloc::new(&map0, 1, 4096);
-        let mut w = BtreeWorkload::new(map0, root0, palloc0, 1, 40, 40, 5, false);
-        let mut sys = sys0;
+        let mut sys = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
+        let mut w = workload(sys.address_map(), 1, 40, 40, 5);
         sys.prepare(&mut w);
         sys.run(&mut w, u64::MAX);
         sys.drain_all_store_buffers();

@@ -12,13 +12,11 @@
 //! `{ tag=1 | bit << 8, left, right }`. Leaf (16 B): `{ tag=0 | key << 8,
 //! value }`. Keys are 48-bit so the tag byte never collides.
 
-use bbb_core::Workload;
-use bbb_cpu::Op;
 use bbb_mem::{ByteStore, ImageReader, NvmImage};
 use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
-use crate::palloc::Palloc;
+use crate::insert::{Heap, InsertStructure, InsertWorkload};
 
 const TAG_LEAF: u64 = 0;
 const TAG_INTERNAL: u64 = 1;
@@ -26,152 +24,15 @@ const TAG_INTERNAL: u64 = 1;
 /// Key space: 48-bit keys, bit 47 tested first.
 const KEY_BITS: u32 = 48;
 
-/// A persistent crit-bit tree driven as a multi-core workload.
-#[derive(Debug)]
-pub struct CtreeWorkload {
+/// The persistent crit-bit tree: a root-pointer slot, and inserts that
+/// splice in one leaf plus one internal node.
+#[derive(Debug, Clone)]
+pub struct Ctree {
     root_addr: Addr,
-    map: AddressMap,
-    palloc: Palloc,
-    rngs: Vec<SplitMix64>,
-    remaining: Vec<u64>,
-    initial: u64,
-    instrument: bool,
-    inserted: u64,
 }
 
-impl CtreeWorkload {
-    /// Creates the workload.
-    ///
-    /// * `root_addr` — reserved root-pointer slot.
-    /// * `initial` — nodes inserted functionally at setup (the paper's 1M).
-    /// * `per_core_ops` — measured insertions per core.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        map: AddressMap,
-        root_addr: Addr,
-        palloc: Palloc,
-        cores: usize,
-        initial: u64,
-        per_core_ops: u64,
-        seed: u64,
-        instrument: bool,
-    ) -> Self {
-        let mut master = SplitMix64::new(seed);
-        Self {
-            root_addr,
-            map,
-            palloc,
-            rngs: (0..cores).map(|_| master.split()).collect(),
-            remaining: vec![per_core_ops; cores],
-            initial,
-            instrument,
-            inserted: 0,
-        }
-    }
-
-    /// Total keys inserted (setup + measured).
-    #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    fn random_key(rng: &mut SplitMix64) -> u64 {
-        rng.next_below(1 << KEY_BITS)
-    }
-
-    /// Functional-only insert used during setup (no ops emitted).
-    fn insert_functional(&mut self, arch: &mut ByteStore, core: usize, key: u64) -> bool {
-        let Some((leaf, internal)) = self.alloc_nodes(arch, core, key) else {
-            return false;
-        };
-        let Some(plan) = plan_insert(arch, &self.map, self.root_addr, key) else {
-            return true; // duplicate key: nothing to do
-        };
-        match plan {
-            InsertPlan::EmptyTree => arch.write_u64(self.root_addr, leaf),
-            InsertPlan::Splice {
-                parent_slot,
-                old_child,
-                bit,
-                key_side_right,
-            } => {
-                let internal = internal.expect("non-empty tree needs an internal node");
-                arch.write_u64(internal, TAG_INTERNAL | (u64::from(bit) << 8));
-                let (l, r) = if key_side_right {
-                    (old_child, leaf)
-                } else {
-                    (leaf, old_child)
-                };
-                arch.write_u64(internal + 8, l);
-                arch.write_u64(internal + 16, r);
-                arch.write_u64(parent_slot, internal);
-            }
-        }
-        self.inserted += 1;
-        true
-    }
-
-    fn alloc_nodes(
-        &mut self,
-        arch: &mut ByteStore,
-        core: usize,
-        key: u64,
-    ) -> Option<(Addr, Option<Addr>)> {
-        let leaf = self.palloc.alloc(core, 16)?;
-        arch.write_u64(leaf, TAG_LEAF | (key << 8));
-        arch.write_u64(leaf + 8, key.wrapping_mul(3)); // value
-        let internal = if arch.read_u64(self.root_addr) != 0 {
-            Some(self.palloc.alloc(core, 24)?)
-        } else {
-            None
-        };
-        Some((leaf, internal))
-    }
-
-    /// One measured insert as an op sequence. The leaf and internal node
-    /// are written first; the final store splices the parent pointer.
-    fn insert_ops(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        let key = Self::random_key(&mut self.rngs[core]);
-        let leaf = self.palloc.alloc(core, 16)?;
-        let mut b = OpBuilder::new(&self.map, self.instrument);
-
-        b.store_u64(leaf, TAG_LEAF | (key << 8));
-        b.store_u64(leaf + 8, key.wrapping_mul(3));
-
-        let Some(plan) = plan_insert_with_builder(&mut b, arch, self.root_addr, key) else {
-            // Duplicate key: the traversal loads still count as work, but
-            // nothing was inserted (the pre-written leaf is orphaned, just
-            // like a real allocator losing a node to a lost race).
-            return Some(b.finish());
-        };
-        match plan {
-            InsertPlan::EmptyTree => {
-                b.store_u64(self.root_addr, leaf);
-            }
-            InsertPlan::Splice {
-                parent_slot,
-                old_child,
-                bit,
-                key_side_right,
-            } => {
-                let internal = self.palloc.alloc(core, 24)?;
-                b.store_u64(internal, TAG_INTERNAL | (u64::from(bit) << 8));
-                let (l, r) = if key_side_right {
-                    (old_child, leaf)
-                } else {
-                    (leaf, old_child)
-                };
-                b.store_u64(internal + 8, l);
-                b.store_u64(internal + 16, r);
-                // Publish: the single pointer store that commits the insert.
-                b.store_u64(parent_slot, internal);
-            }
-        }
-        self.inserted += 1;
-        Some(b.finish())
-    }
-}
+/// The crit-bit tree driven as a multi-core insert workload.
+pub type CtreeWorkload = InsertWorkload<Ctree>;
 
 /// Where an insert splices into the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,103 +62,115 @@ fn is_leaf(tagged: u64) -> bool {
     tagged & 0xFF == TAG_LEAF
 }
 
-/// Plans an insert by reading through `read`, generic over functional
-/// setup reads and op-emitting measured reads.
-fn plan_insert_generic(
-    mut read: impl FnMut(Addr) -> u64,
-    root_addr: Addr,
-    key: u64,
-) -> Option<InsertPlan> {
-    let root = read(root_addr);
-    if root == 0 {
-        return Some(InsertPlan::EmptyTree);
+impl Ctree {
+    /// A crit-bit tree whose root pointer lives at the reserved
+    /// `root_addr`.
+    #[must_use]
+    pub fn new(root_addr: Addr) -> Self {
+        Self { root_addr }
     }
-    // Walk to the best-matching leaf.
-    let mut p = root;
-    loop {
-        let tag = read(p);
-        if is_leaf(tag) {
-            let existing = leaf_key(tag);
-            if existing == key {
-                return None; // duplicate
-            }
-            let diff = existing ^ key;
-            let bit = 63 - diff.leading_zeros(); // highest differing bit
-            let key_side_right = key & (1 << bit) != 0;
-            // Second walk: descend until a node tests a bit below `bit`
-            // (or a leaf), tracking the pointer slot to splice.
-            let mut slot = root_addr;
-            let mut child = read(root_addr);
-            loop {
-                let t = read(child);
-                if is_leaf(t) || node_bit(t) < bit {
-                    return Some(InsertPlan::Splice {
-                        parent_slot: slot,
-                        old_child: child,
-                        bit,
-                        key_side_right,
-                    });
+
+    /// Plans an insert of `key`; `None` when the key is already present.
+    fn plan(&self, b: &mut OpBuilder<'_>, key: u64) -> Option<InsertPlan> {
+        let root = b.load_u64(self.root_addr);
+        if root == 0 {
+            return Some(InsertPlan::EmptyTree);
+        }
+        // Walk to the best-matching leaf.
+        let mut p = root;
+        loop {
+            let tag = b.load_u64(p);
+            if is_leaf(tag) {
+                let existing = leaf_key(tag);
+                if existing == key {
+                    return None; // duplicate
                 }
-                let b = node_bit(t);
-                slot = if key & (1 << b) != 0 {
-                    child + 16
-                } else {
-                    child + 8
-                };
-                child = read(slot);
+                let diff = existing ^ key;
+                let bit = 63 - diff.leading_zeros(); // highest differing bit
+                let key_side_right = key & (1 << bit) != 0;
+                // Second walk: descend until a node tests a bit below
+                // `bit` (or a leaf), tracking the pointer slot to splice.
+                let mut slot = self.root_addr;
+                let mut child = b.load_u64(self.root_addr);
+                loop {
+                    let t = b.load_u64(child);
+                    if is_leaf(t) || node_bit(t) < bit {
+                        return Some(InsertPlan::Splice {
+                            parent_slot: slot,
+                            old_child: child,
+                            bit,
+                            key_side_right,
+                        });
+                    }
+                    let nb = node_bit(t);
+                    slot = if key & (1 << nb) != 0 {
+                        child + 16
+                    } else {
+                        child + 8
+                    };
+                    child = b.load_u64(slot);
+                }
             }
+            let nb = node_bit(tag);
+            p = if key & (1 << nb) != 0 {
+                b.load_u64(p + 16)
+            } else {
+                b.load_u64(p + 8)
+            };
         }
-        let b = node_bit(tag);
-        p = if key & (1 << b) != 0 {
-            read(p + 16)
-        } else {
-            read(p + 8)
-        };
     }
 }
 
-fn plan_insert(
-    arch: &ByteStore,
-    _map: &AddressMap,
-    root_addr: Addr,
-    key: u64,
-) -> Option<InsertPlan> {
-    plan_insert_generic(|a| arch.read_u64(a), root_addr, key)
-}
+impl InsertStructure for Ctree {
+    type Key = u64;
+    const NAME: &'static str = "ctree";
+    const SETUP_SEED: u64 = 0xC7EE_5EED;
+    // Every insert publishes with one pointer store into fresh nodes.
+    const LOCKED: bool = false;
 
-fn plan_insert_with_builder(
-    b: &mut OpBuilder<'_>,
-    arch: &ByteStore,
-    root_addr: Addr,
-    key: u64,
-) -> Option<InsertPlan> {
-    plan_insert_generic(|a| b.load_u64(arch, a), root_addr, key)
-}
-
-impl Workload for CtreeWorkload {
-    fn name(&self) -> &str {
-        "ctree"
+    fn random_key(rng: &mut SplitMix64) -> u64 {
+        rng.next_below(1 << KEY_BITS)
     }
 
-    fn setup(&mut self, arch: &mut ByteStore) {
+    fn init_roots(&self, arch: &mut ByteStore) {
         arch.write_u64(self.root_addr, 0);
-        let cores = self.rngs.len();
-        let mut rng = SplitMix64::new(0xC7EE_5EED);
-        for i in 0..self.initial {
-            let key = Self::random_key(&mut rng);
-            let core = (i % cores as u64) as usize;
-            if !self.insert_functional(arch, core, key) {
-                break; // allocator exhausted: tree is as big as it gets
-            }
-        }
     }
 
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        if core >= self.remaining.len() || self.remaining[core] == 0 {
-            return None;
+    /// The leaf is written first, then the internal node; the final store
+    /// splices the parent pointer.
+    fn insert(&self, b: &mut OpBuilder<'_>, heap: &mut Heap, key: u64) -> Option<bool> {
+        let leaf = heap.alloc(16)?;
+        b.store_u64(leaf, TAG_LEAF | (key << 8));
+        b.store_u64(leaf + 8, key.wrapping_mul(3)); // value
+
+        let Some(plan) = self.plan(b, key) else {
+            // Duplicate key: the traversal loads still count as work, but
+            // nothing was inserted (the pre-written leaf is orphaned, just
+            // like a real allocator losing a node to a lost race).
+            return Some(false);
+        };
+        match plan {
+            InsertPlan::EmptyTree => b.store_u64(self.root_addr, leaf),
+            InsertPlan::Splice {
+                parent_slot,
+                old_child,
+                bit,
+                key_side_right,
+            } => {
+                let internal = heap.alloc(24)?;
+                b.store_u64(internal, TAG_INTERNAL | (u64::from(bit) << 8));
+                let (l, r) = if key_side_right {
+                    (old_child, leaf)
+                } else {
+                    (leaf, old_child)
+                };
+                b.store_u64(internal + 8, l);
+                b.store_u64(internal + 16, r);
+                // Publish: the single pointer store that commits the insert.
+                b.store_u64(parent_slot, internal);
+            }
         }
-        self.remaining[core] -= 1;
-        self.insert_ops(core, arch)
+        Some(true)
     }
 }
 
@@ -361,15 +234,24 @@ pub fn check_ctree_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbb_core::{PersistencyMode, System};
+    use crate::WorkloadParams;
+    use bbb_core::{PersistencyMode, System, Workload};
     use bbb_sim::SimConfig;
+
+    fn workload(map: &AddressMap, cores: usize, initial: u64, per_core: u64) -> CtreeWorkload {
+        let root = Ctree::new(map.persistent_base());
+        let params = WorkloadParams {
+            initial,
+            per_core_ops: per_core,
+            seed: 42,
+            instrument: false,
+        };
+        CtreeWorkload::new(root, map.clone(), cores, 4096, params)
+    }
 
     fn build(mode: PersistencyMode, initial: u64, per_core: u64) -> (System, CtreeWorkload) {
         let sys = System::new(SimConfig::small_for_tests(), mode).unwrap();
-        let map = sys.address_map().clone();
-        let root = map.persistent_base();
-        let palloc = Palloc::new(&map, 2, 4096);
-        let w = CtreeWorkload::new(map, root, palloc, 2, initial, per_core, 42, false);
+        let w = workload(sys.address_map(), 2, initial, per_core);
         (sys, w)
     }
 
@@ -414,12 +296,8 @@ mod tests {
         // application order, so the image count is exact. (Cross-core
         // conflicting splices can diverge by a node or two — the
         // documented op-granularity approximation.)
-        let sys0 = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
-        let map0 = sys0.address_map().clone();
-        let root0 = map0.persistent_base();
-        let palloc0 = Palloc::new(&map0, 1, 4096);
-        let mut w = CtreeWorkload::new(map0, root0, palloc0, 1, 20, 20, 42, false);
-        let mut sys = sys0;
+        let mut sys = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
+        let mut w = workload(sys.address_map(), 1, 20, 20);
         sys.prepare(&mut w);
         sys.run(&mut w, u64::MAX);
         sys.drain_all_store_buffers();
@@ -434,13 +312,15 @@ mod tests {
     fn duplicate_keys_do_not_grow_the_tree() {
         let mut arch = ByteStore::new();
         let map = AddressMap::new(&SimConfig::small_for_tests());
-        let root = map.persistent_base();
-        let palloc = Palloc::new(&map, 1, 4096);
-        let mut w = CtreeWorkload::new(map, root, palloc, 1, 0, 0, 1, false);
-        arch.write_u64(root, 0);
-        assert!(w.insert_functional(&mut arch, 0, 7));
+        let mut w = workload(&map, 1, 0, 0);
+        w.setup(&mut arch);
+        assert!(w.insert_now(&mut arch, 0, 7));
+        assert!(w.insert_now(&mut arch, 0, 9));
         let count_before = w.inserted();
-        assert!(w.insert_functional(&mut arch, 0, 7)); // duplicate
+        assert!(w.insert_now(&mut arch, 0, 7)); // duplicate
         assert_eq!(w.inserted(), count_before);
+        let img = NvmImage::from_store(arch);
+        let leaves = check_ctree_recovery(&img, &map, map.persistent_base()).unwrap();
+        assert_eq!(leaves, count_before, "the duplicate is not reachable");
     }
 }

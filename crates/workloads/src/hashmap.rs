@@ -10,70 +10,40 @@
 //! Layout: bucket array of `u64` head pointers at a reserved base; nodes
 //! are 24 bytes `{ key, value, next }`.
 
-use bbb_core::Workload;
-use bbb_cpu::Op;
 use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
-use crate::palloc::Palloc;
+use crate::insert::{Heap, InsertStructure, InsertWorkload};
 
-/// A persistent chained hashmap driven as a multi-core workload.
-#[derive(Debug)]
-pub struct HashmapWorkload {
+/// The persistent chained hashmap: a bucket array of head pointers, and
+/// inserts that prepend to a chain.
+#[derive(Debug, Clone)]
+pub struct Hashmap {
     buckets_addr: Addr,
     n_buckets: u64,
-    map: AddressMap,
-    palloc: Palloc,
-    rngs: Vec<SplitMix64>,
-    remaining: Vec<u64>,
-    initial: u64,
-    instrument: bool,
-    inserted: u64,
 }
 
-impl HashmapWorkload {
+/// The hashmap driven as a multi-core insert workload.
+pub type HashmapWorkload = InsertWorkload<Hashmap>;
+
+impl Hashmap {
     /// Node size in bytes.
     pub const NODE_BYTES: u64 = 24;
 
-    /// Creates the workload. The bucket array occupies
-    /// `n_buckets * 8` bytes at `buckets_addr` (reserved space).
+    /// A hashmap whose bucket array occupies `n_buckets * 8` bytes at
+    /// `buckets_addr` (reserved space).
     ///
     /// # Panics
     ///
     /// Panics if `n_buckets` is not a power of two.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        map: AddressMap,
-        buckets_addr: Addr,
-        n_buckets: u64,
-        palloc: Palloc,
-        cores: usize,
-        initial: u64,
-        per_core_ops: u64,
-        seed: u64,
-        instrument: bool,
-    ) -> Self {
+    pub fn new(buckets_addr: Addr, n_buckets: u64) -> Self {
         assert!(n_buckets.is_power_of_two(), "bucket count must be 2^k");
-        let mut master = SplitMix64::new(seed);
         Self {
             buckets_addr,
             n_buckets,
-            map,
-            palloc,
-            rngs: (0..cores).map(|_| master.split()).collect(),
-            remaining: vec![per_core_ops; cores],
-            initial,
-            instrument,
-            inserted: 0,
         }
-    }
-
-    /// Keys inserted (setup + measured).
-    #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
     }
 
     fn bucket_slot(&self, key: u64) -> Addr {
@@ -81,77 +51,47 @@ impl HashmapWorkload {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.n_buckets.trailing_zeros());
         self.buckets_addr + h * 8
     }
+}
 
-    fn insert_functional(&mut self, arch: &mut ByteStore, core: usize, key: u64) -> bool {
-        let Some(node) = self.palloc.alloc(core, Self::NODE_BYTES) else {
-            return false;
-        };
-        let slot = self.bucket_slot(key);
-        let head = arch.read_u64(slot);
-        arch.write_u64(node, key);
-        arch.write_u64(node + 8, key.wrapping_mul(7)); // value
-        arch.write_u64(node + 16, head);
-        arch.write_u64(slot, node);
-        self.inserted += 1;
-        true
+impl InsertStructure for Hashmap {
+    type Key = u64;
+    const NAME: &'static str = "hashmap";
+    const SETUP_SEED: u64 = 0x4A5_115EED;
+    // Every insert publishes with one bucket-head store of a fresh node.
+    const LOCKED: bool = false;
+
+    fn random_key(rng: &mut SplitMix64) -> u64 {
+        rng.next_u64() | 1 // nonzero keys
     }
 
-    fn insert_ops(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        let key = self.rngs[core].next_u64() | 1; // nonzero keys
-        let node = self.palloc.alloc(core, Self::NODE_BYTES)?;
+    fn init_roots(&self, arch: &mut ByteStore) {
+        // Zero the bucket array explicitly so the pages exist in media.
+        for i in 0..self.n_buckets {
+            arch.write_u64(self.buckets_addr + i * 8, 0);
+        }
+    }
+
+    fn insert(&self, b: &mut OpBuilder<'_>, heap: &mut Heap, key: u64) -> Option<bool> {
+        let node = heap.alloc(Self::NODE_BYTES)?;
         let slot = self.bucket_slot(key);
-        let mut b = OpBuilder::new(&self.map, self.instrument);
-        let head = b.load_u64(arch, slot);
+        let head = b.load_u64(slot);
         // Insert-if-absent: walk the chain checking for the key, like the
         // WHISPER hashmap the paper uses (this is also why hashmap has the
         // suite's lowest persisting-store fraction, 6.0% in Table IV).
         let mut p = head;
         let mut walked = 0;
         while p != 0 && walked < 64 {
-            let k = b.load_u64(arch, p);
-            if k == key {
-                return Some(b.finish()); // already present (rare)
+            if b.load_u64(p) == key {
+                return Some(false); // already present (rare)
             }
-            p = b.load_u64(arch, p + 16);
+            p = b.load_u64(p + 16);
             walked += 1;
         }
         b.store_u64(node, key);
-        b.store_u64(node + 8, key.wrapping_mul(7));
+        b.store_u64(node + 8, key.wrapping_mul(7)); // value
         b.store_u64(node + 16, head);
-        // Publish.
-        b.store_u64(slot, node);
-        self.inserted += 1;
-        Some(b.finish())
-    }
-}
-
-impl Workload for HashmapWorkload {
-    fn name(&self) -> &str {
-        "hashmap"
-    }
-
-    fn setup(&mut self, arch: &mut ByteStore) {
-        // Zero the bucket array explicitly so the pages exist in media.
-        for i in 0..self.n_buckets {
-            arch.write_u64(self.buckets_addr + i * 8, 0);
-        }
-        let cores = self.rngs.len();
-        let mut rng = SplitMix64::new(0x4A5_115EED);
-        for i in 0..self.initial {
-            let key = rng.next_u64() | 1;
-            let core = (i % cores as u64) as usize;
-            if !self.insert_functional(arch, core, key) {
-                break;
-            }
-        }
-    }
-
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        if core >= self.remaining.len() || self.remaining[core] == 0 {
-            return None;
-        }
-        self.remaining[core] -= 1;
-        self.insert_ops(core, arch)
+        b.store_u64(slot, node); // publish
+        Some(true)
     }
 }
 
@@ -199,6 +139,7 @@ pub fn check_hashmap_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadParams;
     use bbb_core::{PersistencyMode, System};
     use bbb_sim::SimConfig;
 
@@ -207,9 +148,14 @@ mod tests {
     fn build(mode: PersistencyMode, initial: u64, per_core: u64) -> (System, HashmapWorkload) {
         let sys = System::new(SimConfig::small_for_tests(), mode).unwrap();
         let map = sys.address_map().clone();
-        let base = map.persistent_base();
-        let palloc = Palloc::new(&map, 2, BUCKETS * 8);
-        let w = HashmapWorkload::new(map, base, BUCKETS, palloc, 2, initial, per_core, 99, false);
+        let hashmap = Hashmap::new(map.persistent_base(), BUCKETS);
+        let params = WorkloadParams {
+            initial,
+            per_core_ops: per_core,
+            seed: 99,
+            instrument: false,
+        };
+        let w = HashmapWorkload::new(hashmap, map, 2, BUCKETS * 8, params);
         (sys, w)
     }
 
@@ -267,10 +213,10 @@ mod tests {
 
     #[test]
     fn checker_detects_torn_node() {
-        let (mut sys, w) = build(PersistencyMode::BbbMemorySide, 0, 0);
+        let (mut sys, _) = build(PersistencyMode::BbbMemorySide, 0, 0);
         let map = sys.address_map().clone();
         let node = map.persistent_base() + 0x4000;
-        sys.preload_u64(w.buckets_addr, node);
+        sys.preload_u64(map.persistent_base(), node);
         sys.preload_u64(node, 5); // key without matching value
         sys.preload_u64(node + 8, 999);
         let img = sys.crash_now(true);

@@ -16,6 +16,11 @@
 //! `NC`/`C` = non-conflicting (per-thread array regions) vs conflicting
 //! (threads share the whole array).
 //!
+//! The insert structures (rtree, ctree, hashmap and the btree extension)
+//! share one skeleton, [`insert::InsertWorkload`]: each writes a single
+//! insert body against an [`OpBuilder`], which set-up and the measured
+//! window both run.
+//!
 //! Every structure follows strict-persistency crash discipline: the store
 //! that publishes an operation (head pointer, parent link, bucket head) is
 //! the *last* store of the operation, so under BBB — where persist order
@@ -31,6 +36,7 @@ pub mod btree;
 pub mod builder;
 pub mod ctree;
 pub mod hashmap;
+pub mod insert;
 pub mod kv;
 pub mod linkedlist;
 pub mod locks;
@@ -41,16 +47,16 @@ pub mod suite;
 pub mod wal;
 
 pub use arrays::{ArrayOpKind, ArrayWorkload, Sharing};
-pub use btree::BtreeWorkload;
+pub use btree::{Btree, BtreeWorkload};
 pub use builder::OpBuilder;
-pub use ctree::CtreeWorkload;
-pub use hashmap::HashmapWorkload;
+pub use ctree::{Ctree, CtreeWorkload};
+pub use hashmap::{Hashmap, HashmapWorkload};
 pub use kv::{check_kv_recovery, KvLayout, KvMix, KvSpec, KvWorkload};
 pub use linkedlist::LinkedList;
 pub use locks::InsertLock;
 pub use palloc::Palloc;
 pub use pstore_log::{check_pstore_recovery, PstoreLogWorkload, SimBacking};
-pub use rtree::RtreeWorkload;
+pub use rtree::{Rtree, RtreeWorkload};
 pub use suite::{
     make_stream, make_workload, verify_recovery, verify_recovery_report, RecoveryReport,
     WorkloadKind, WorkloadParams,

@@ -112,11 +112,11 @@ impl LinkedList {
         instrument: bool,
     ) -> Option<Vec<Op>> {
         let node = palloc.alloc(core, Self::NODE_BYTES)?;
-        let mut b = OpBuilder::new(map, instrument);
+        let mut b = OpBuilder::new(map, arch, instrument);
         // new_node->value = ...
         b.store_u64(node, VALUE_MAGIC | self.appended);
         // new_node->next = head
-        let head = b.load_u64(arch, self.head_addr);
+        let head = b.load_u64(self.head_addr);
         b.store_u64(node + 8, head);
         // head = new_node  (the publish: last store of the operation)
         b.store_u64(self.head_addr, node);

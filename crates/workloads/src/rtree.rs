@@ -19,14 +19,11 @@
 //! max: 2×u16 packed (one u64), child_or_value: u64, pad: u64 } }`.
 //! Coordinates are u16 grid points packed into one u64 per entry.
 
-use bbb_core::Workload;
-use bbb_cpu::Op;
 use bbb_mem::{ByteStore, ImageReader, NvmImage};
 use bbb_sim::{Addr, AddressMap, SplitMix64};
 
 use crate::builder::OpBuilder;
-use crate::locks::InsertLock;
-use crate::palloc::Palloc;
+use crate::insert::{Heap, InsertStructure, InsertWorkload};
 
 /// Entries per R-tree node.
 pub const FANOUT: usize = 8;
@@ -121,55 +118,86 @@ fn entry_addr(node: Addr, i: usize) -> Addr {
     node + 8 + i as u64 * ENTRY_BYTES
 }
 
-/// A persistent R-tree driven as a multi-core workload.
-#[derive(Debug)]
-pub struct RtreeWorkload {
+/// The persistent R-tree: a root-pointer slot, and inserts that descend
+/// by least enlargement.
+#[derive(Debug, Clone)]
+pub struct Rtree {
     root_slot: Addr,
-    map: AddressMap,
-    palloc: Palloc,
-    rngs: Vec<SplitMix64>,
-    remaining: Vec<u64>,
-    initial: u64,
-    instrument: bool,
-    inserted: u64,
-    lock: InsertLock,
 }
 
-impl RtreeWorkload {
-    /// Creates the workload; `root_slot` is a reserved root-pointer slot.
+/// The R-tree driven as a multi-core insert workload.
+pub type RtreeWorkload = InsertWorkload<Rtree>;
+
+impl Rtree {
+    /// An R-tree whose root pointer lives at the reserved `root_slot`.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        map: AddressMap,
-        root_slot: Addr,
-        palloc: Palloc,
-        cores: usize,
-        initial: u64,
-        per_core_ops: u64,
-        seed: u64,
-        instrument: bool,
-    ) -> Self {
-        let mut master = SplitMix64::new(seed);
-        Self {
-            root_slot,
-            map,
-            palloc,
-            rngs: (0..cores).map(|_| master.split()).collect(),
-            remaining: vec![per_core_ops; cores],
-            initial,
-            instrument,
-            inserted: 0,
-            lock: InsertLock::new(),
+    pub fn new(root_slot: Addr) -> Self {
+        Self { root_slot }
+    }
+}
+
+/// A node's entries: (box, child pointer or value) pairs.
+type Entries = Vec<(Rect, u64)>;
+
+/// Partitions `entries` for a node split: center against the
+/// bounding-box midpoint along the wider axis, with a forced half/half
+/// cut when degenerate.
+fn partition(mut entries: Entries) -> (Entries, Entries) {
+    let bbox = bbox_of(&entries);
+    let (cx, cy) = bbox.center();
+    let wide_x = u32::from(bbox.x1 - bbox.x0) >= u32::from(bbox.y1 - bbox.y0);
+    let (mut keep, mut moved): (Vec<_>, Vec<_>) = entries.drain(..).partition(|(r, _)| {
+        let (ex, ey) = r.center();
+        if wide_x {
+            ex <= cx
+        } else {
+            ey <= cy
         }
+    });
+    if keep.is_empty() || moved.is_empty() {
+        let mut all = std::mem::take(&mut keep);
+        all.append(&mut moved);
+        moved = all.split_off(all.len() / 2);
+        keep = all;
     }
+    (keep, moved)
+}
 
-    /// Rectangles inserted (setup + measured).
-    #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
+fn bbox_of(entries: &[(Rect, u64)]) -> Rect {
+    entries[1..]
+        .iter()
+        .fold(entries[0].0, |a, (r, _)| a.union(*r))
+}
+
+/// Reads a node's first `count` entries.
+fn read_entries(b: &mut OpBuilder<'_>, node: Addr, count: usize) -> Entries {
+    (0..count)
+        .map(|i| {
+            (
+                Rect::unpack(b.load_u64(entry_addr(node, i))),
+                b.load_u64(entry_addr(node, i) + 8),
+            )
+        })
+        .collect()
+}
+
+/// Writes `entries` into `node` from slot 0, then its header.
+fn write_node(b: &mut OpBuilder<'_>, node: Addr, header_flags: u64, entries: &[(Rect, u64)]) {
+    for (i, (r, v)) in entries.iter().enumerate() {
+        b.store_u64(entry_addr(node, i), r.pack());
+        b.store_u64(entry_addr(node, i) + 8, *v);
     }
+    b.store_u64(node, header_flags | entries.len() as u64);
+}
 
-    fn random_rect(rng: &mut SplitMix64) -> Rect {
+impl InsertStructure for Rtree {
+    type Key = Rect;
+    const NAME: &'static str = "rtree";
+    const SETUP_SEED: u64 = 0x47EE_0001;
+    // In-place appends and box tightening race across cores.
+    const LOCKED: bool = true;
+
+    fn random_key(rng: &mut SplitMix64) -> Rect {
         let x0 = rng.next_below(60_000) as u16;
         let y0 = rng.next_below(60_000) as u16;
         let w = rng.next_below(256) as u16;
@@ -182,89 +210,33 @@ impl RtreeWorkload {
         }
     }
 
-    /// One insert, generic over functional (`b = None`) and op-emitting
-    /// execution. Splits propagate recursively up the saved path, so the
-    /// tree stays balanced (depth O(log_FANOUT n)). A fresh sibling is
-    /// fully written before the parent store that publishes it; the
-    /// in-place shrink of the split node is tolerated by the checker
-    /// because every transiently visible entry is still a valid old entry
-    /// (the relaxed invariant real persistent R-trees rely on).
-    ///
-    /// Returns false when the allocator is exhausted.
-    fn insert(
-        &mut self,
-        arch: &mut ByteStore,
-        core: usize,
-        rect: Rect,
-        mut b: Option<&mut OpBuilder<'_>>,
-    ) -> bool {
-        // Memory access helpers working through the builder when present.
-        macro_rules! rd {
-            ($addr:expr) => {
-                match b.as_deref_mut() {
-                    Some(bb) => bb.load_u64(arch, $addr),
-                    None => arch.read_u64($addr),
-                }
-            };
-        }
-        macro_rules! wr {
-            ($addr:expr, $v:expr) => {
-                match b.as_deref_mut() {
-                    Some(bb) => bb.store_u64($addr, $v),
-                    None => arch.write_u64($addr, $v),
-                }
-            };
-        }
-        /// Partitions `entries` (boxes + payloads) for a node split:
-        /// center against the bounding-box midpoint along the wider axis,
-        /// with a forced half/half cut when degenerate.
-        type Entries = Vec<(Rect, u64)>;
-        fn partition(mut entries: Entries) -> (Entries, Entries) {
-            let bbox = entries[1..]
-                .iter()
-                .fold(entries[0].0, |a, (r, _)| a.union(*r));
-            let (cx, cy) = bbox.center();
-            let wide_x = u32::from(bbox.x1 - bbox.x0) >= u32::from(bbox.y1 - bbox.y0);
-            let (mut keep, mut moved): (Vec<_>, Vec<_>) = entries.drain(..).partition(|(r, _)| {
-                let (ex, ey) = r.center();
-                if wide_x {
-                    ex <= cx
-                } else {
-                    ey <= cy
-                }
-            });
-            if keep.is_empty() || moved.is_empty() {
-                let mut all = std::mem::take(&mut keep);
-                all.append(&mut moved);
-                moved = all.split_off(all.len() / 2);
-                keep = all;
-            }
-            (keep, moved)
-        }
-        fn bbox_of(entries: &[(Rect, u64)]) -> Rect {
-            entries[1..]
-                .iter()
-                .fold(entries[0].0, |a, (r, _)| a.union(*r))
-        }
+    fn init_roots(&self, arch: &mut ByteStore) {
+        arch.write_u64(self.root_slot, 0);
+    }
 
-        let root = rd!(self.root_slot);
+    /// Splits propagate recursively up the saved path, so the tree stays
+    /// balanced (depth O(log_FANOUT n)). A fresh sibling is fully written
+    /// before the parent store that publishes it; the in-place shrink of
+    /// the split node is tolerated by the checker because every
+    /// transiently visible entry is still a valid old entry (the relaxed
+    /// invariant real persistent R-trees rely on).
+    fn insert(&self, b: &mut OpBuilder<'_>, heap: &mut Heap, rect: Rect) -> Option<bool> {
+        let value = heap.inserted() + 1;
+        let root = b.load_u64(self.root_slot);
         if root == 0 {
-            let Some(node) = self.palloc.alloc(core, NODE_BYTES) else {
-                return false;
-            };
-            wr!(entry_addr(node, 0), rect.pack());
-            wr!(entry_addr(node, 0) + 8, self.inserted + 1); // value
-            wr!(node, LEAF_FLAG | 1); // header: leaf, count 1
-            wr!(self.root_slot, node); // publish
-            self.inserted += 1;
-            return true;
+            let node = heap.alloc(NODE_BYTES)?;
+            b.store_u64(entry_addr(node, 0), rect.pack());
+            b.store_u64(entry_addr(node, 0) + 8, value);
+            b.store_u64(node, LEAF_FLAG | 1); // header: leaf, count 1
+            b.store_u64(self.root_slot, node); // publish
+            return Some(true);
         }
 
         // Descend to a leaf by least enlargement, saving (node, entry idx).
         let mut path: Vec<(Addr, usize)> = Vec::with_capacity(8);
         let mut p = root;
         loop {
-            let h = rd!(p);
+            let h = b.load_u64(p);
             if hdr_is_leaf(h) {
                 break;
             }
@@ -273,7 +245,7 @@ impl RtreeWorkload {
             let mut best = 0usize;
             let mut best_cost = u64::MAX;
             for i in 0..count {
-                let r = Rect::unpack(rd!(entry_addr(p, i)));
+                let r = Rect::unpack(b.load_u64(entry_addr(p, i)));
                 let cost = r.enlargement(rect);
                 if cost < best_cost {
                     best_cost = cost;
@@ -282,49 +254,31 @@ impl RtreeWorkload {
             }
             // Tighten the chosen entry's box on the way down (post-publish
             // box maintenance; conservative at a crash).
-            let cur = Rect::unpack(rd!(entry_addr(p, best)));
+            let cur = Rect::unpack(b.load_u64(entry_addr(p, best)));
             if !cur.contains(rect) {
-                wr!(entry_addr(p, best), cur.union(rect).pack());
+                b.store_u64(entry_addr(p, best), cur.union(rect).pack());
             }
             path.push((p, best));
-            p = rd!(entry_addr(p, best) + 8);
+            p = b.load_u64(entry_addr(p, best) + 8);
         }
 
         // Fast path: leaf has room.
-        let h = rd!(p);
+        let h = b.load_u64(p);
         let count = hdr_count(h);
         if count < FANOUT {
-            wr!(entry_addr(p, count), rect.pack());
-            wr!(entry_addr(p, count) + 8, self.inserted + 1);
-            wr!(p, h + 1); // publish via count bump
-            self.inserted += 1;
-            return true;
+            b.store_u64(entry_addr(p, count), rect.pack());
+            b.store_u64(entry_addr(p, count) + 8, value);
+            b.store_u64(p, h + 1); // publish via count bump
+            return Some(true);
         }
 
         // Leaf full: split, then propagate the new sibling up the path.
-        let mut entries: Vec<(Rect, u64)> = (0..count)
-            .map(|i| {
-                (
-                    Rect::unpack(rd!(entry_addr(p, i))),
-                    rd!(entry_addr(p, i) + 8),
-                )
-            })
-            .collect();
-        entries.push((rect, self.inserted + 1));
+        let mut entries = read_entries(b, p, count);
+        entries.push((rect, value));
         let (keep, moved) = partition(entries);
-        let Some(mut sibling) = self.palloc.alloc(core, NODE_BYTES) else {
-            return false;
-        };
-        for (i, (r, v)) in moved.iter().enumerate() {
-            wr!(entry_addr(sibling, i), r.pack());
-            wr!(entry_addr(sibling, i) + 8, *v);
-        }
-        wr!(sibling, LEAF_FLAG | moved.len() as u64);
-        for (i, (r, v)) in keep.iter().enumerate() {
-            wr!(entry_addr(p, i), r.pack());
-            wr!(entry_addr(p, i) + 8, *v);
-        }
-        wr!(p, LEAF_FLAG | keep.len() as u64);
+        let mut sibling = heap.alloc(NODE_BYTES)?;
+        write_node(b, sibling, LEAF_FLAG, &moved);
+        write_node(b, p, LEAF_FLAG, &keep);
         let mut split_node = p;
         let mut keep_box = bbox_of(&keep);
         let mut moved_box = bbox_of(&moved);
@@ -333,99 +287,35 @@ impl RtreeWorkload {
         loop {
             let Some((parent, idx)) = path.pop() else {
                 // The split node was the root: grow a new root.
-                let Some(newroot) = self.palloc.alloc(core, NODE_BYTES) else {
-                    return false;
-                };
-                wr!(entry_addr(newroot, 0), keep_box.pack());
-                wr!(entry_addr(newroot, 0) + 8, split_node);
-                wr!(entry_addr(newroot, 1), moved_box.pack());
-                wr!(entry_addr(newroot, 1) + 8, sibling);
-                wr!(newroot, 2); // internal, count 2
-                wr!(self.root_slot, newroot); // publish
+                let newroot = heap.alloc(NODE_BYTES)?;
+                let halves = [(keep_box, split_node), (moved_box, sibling)];
+                write_node(b, newroot, 0, &halves); // internal, count 2
+                b.store_u64(self.root_slot, newroot); // publish
                 break;
             };
             // The split child kept the `keep` half: tighten its box.
-            wr!(entry_addr(parent, idx), keep_box.pack());
-            let ph = rd!(parent);
+            b.store_u64(entry_addr(parent, idx), keep_box.pack());
+            let ph = b.load_u64(parent);
             let pcount = hdr_count(ph);
             if pcount < FANOUT {
-                wr!(entry_addr(parent, pcount), moved_box.pack());
-                wr!(entry_addr(parent, pcount) + 8, sibling);
-                wr!(parent, ph + 1); // publish
+                b.store_u64(entry_addr(parent, pcount), moved_box.pack());
+                b.store_u64(entry_addr(parent, pcount) + 8, sibling);
+                b.store_u64(parent, ph + 1); // publish
                 break;
             }
             // Parent full too: split it and continue upward.
-            let mut pentries: Vec<(Rect, u64)> = (0..pcount)
-                .map(|i| {
-                    (
-                        Rect::unpack(rd!(entry_addr(parent, i))),
-                        rd!(entry_addr(parent, i) + 8),
-                    )
-                })
-                .collect();
+            let mut pentries = read_entries(b, parent, pcount);
             pentries.push((moved_box, sibling));
             let (pkeep, pmoved) = partition(pentries);
-            let Some(new_internal) = self.palloc.alloc(core, NODE_BYTES) else {
-                return false;
-            };
-            for (i, (r, v)) in pmoved.iter().enumerate() {
-                wr!(entry_addr(new_internal, i), r.pack());
-                wr!(entry_addr(new_internal, i) + 8, *v);
-            }
-            wr!(new_internal, pmoved.len() as u64); // internal
-            for (i, (r, v)) in pkeep.iter().enumerate() {
-                wr!(entry_addr(parent, i), r.pack());
-                wr!(entry_addr(parent, i) + 8, *v);
-            }
-            wr!(parent, pkeep.len() as u64);
+            let new_internal = heap.alloc(NODE_BYTES)?;
+            write_node(b, new_internal, 0, &pmoved);
+            write_node(b, parent, 0, &pkeep);
             split_node = parent;
             sibling = new_internal;
             keep_box = bbox_of(&pkeep);
             moved_box = bbox_of(&pmoved);
         }
-        self.inserted += 1;
-        true
-    }
-}
-
-impl Workload for RtreeWorkload {
-    fn name(&self) -> &str {
-        "rtree"
-    }
-
-    fn setup(&mut self, arch: &mut ByteStore) {
-        arch.write_u64(self.root_slot, 0);
-        let cores = self.rngs.len();
-        let mut rng = SplitMix64::new(0x47EE_0001);
-        for i in 0..self.initial {
-            let rect = Self::random_rect(&mut rng);
-            let core = (i % cores as u64) as usize;
-            if !self.insert(arch, core, rect, None) {
-                break;
-            }
-        }
-    }
-
-    fn next_batch(&mut self, core: usize, arch: &mut ByteStore) -> Option<Vec<Op>> {
-        self.lock.release_if_held(core);
-        if core >= self.remaining.len() || self.remaining[core] == 0 {
-            return None;
-        }
-        if !self.lock.try_acquire(core) {
-            // In-place appends and box tightening race across cores, so
-            // inserts are lock-based: spin until the holder's batch
-            // commits.
-            return Some(InsertLock::spin_batch());
-        }
-        self.remaining[core] -= 1;
-        let rect = Self::random_rect(&mut self.rngs[core]);
-        let map = self.map.clone();
-        let mut b = OpBuilder::new(&map, self.instrument);
-        if !self.insert(arch, core, rect, Some(&mut b)) {
-            self.lock.release();
-            return None; // allocator exhausted: treat as end of stream
-        }
-        Some(b.finish())
+        Some(true)
     }
 }
 
@@ -491,15 +381,24 @@ pub fn check_rtree_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadParams;
     use bbb_core::{PersistencyMode, System};
     use bbb_sim::SimConfig;
 
+    fn workload(map: &AddressMap, cores: usize, initial: u64, per_core: u64) -> RtreeWorkload {
+        let root = Rtree::new(map.persistent_base());
+        let params = WorkloadParams {
+            initial,
+            per_core_ops: per_core,
+            seed: 7,
+            instrument: false,
+        };
+        RtreeWorkload::new(root, map.clone(), cores, 4096, params)
+    }
+
     fn build(mode: PersistencyMode, initial: u64, per_core: u64) -> (System, RtreeWorkload) {
         let sys = System::new(SimConfig::small_for_tests(), mode).unwrap();
-        let map = sys.address_map().clone();
-        let root = map.persistent_base();
-        let palloc = Palloc::new(&map, 2, 4096);
-        let w = RtreeWorkload::new(map, root, palloc, 2, initial, per_core, 7, false);
+        let w = workload(sys.address_map(), 2, initial, per_core);
         (sys, w)
     }
 
@@ -550,7 +449,7 @@ mod tests {
         let map = sys.address_map().clone();
         let img = sys.crash_now(true);
         let n = check_rtree_recovery(&img, &map, map.persistent_base()).expect("valid");
-        assert_eq!(n, 200, "every functional insert reachable");
+        assert_eq!(n, 200, "every set-up insert reachable");
         assert_eq!(w.inserted(), 200);
     }
 
@@ -573,12 +472,8 @@ mod tests {
         // application order, so the image count is exact (cross-core
         // conflicting box updates can diverge slightly — the documented
         // op-granularity approximation).
-        let sys0 = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
-        let map0 = sys0.address_map().clone();
-        let root0 = map0.persistent_base();
-        let palloc0 = Palloc::new(&map0, 1, 4096);
-        let mut w = RtreeWorkload::new(map0, root0, palloc0, 1, 50, 60, 7, false);
-        let mut sys = sys0;
+        let mut sys = System::new(SimConfig::small_for_tests(), PersistencyMode::Eadr).unwrap();
+        let mut w = workload(sys.address_map(), 1, 50, 60);
         sys.prepare(&mut w);
         let summary = sys.run(&mut w, u64::MAX);
         assert!(summary.completed);

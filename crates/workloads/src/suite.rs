@@ -10,19 +10,27 @@ use bbb_mem::{ByteStore, NvmImage};
 use bbb_sim::{AddressMap, SimConfig};
 
 use crate::arrays::{ArrayOpKind, ArrayWorkload, Sharing};
-use crate::btree::BtreeWorkload;
-use crate::ctree::CtreeWorkload;
-use crate::hashmap::HashmapWorkload;
+use crate::btree::Btree;
+use crate::ctree::Ctree;
+use crate::hashmap::Hashmap;
+use crate::insert::{InsertStructure, InsertWorkload};
 use crate::kv::{check_kv_recovery, KvLayout, KvMix, KvSpec, KvWorkload};
-use crate::palloc::Palloc;
 use crate::pstore_log::{check_pstore_recovery, PstoreLogWorkload, SIM_RING_CAPACITY};
-use crate::rtree::RtreeWorkload;
+use crate::rtree::Rtree;
 use crate::wal::{check_wal_recovery, WalLayout, WalSpec, WalWorkload};
 
 /// Reserved root area at the start of the persistent heap (roots, bucket
 /// arrays): 2 MiB on paper-sized heaps, scaled down for small test heaps.
 fn root_reserve(cfg: &SimConfig) -> u64 {
     (cfg.persistent_heap_bytes / 8).clamp(4096, 1 << 21)
+}
+
+/// Hashmap buckets: about half the node count, a power of two that fits
+/// the root reserve. Construction and recovery must agree on it.
+fn hashmap_buckets(params: WorkloadParams, reserve: u64) -> u64 {
+    (params.initial / 2)
+        .next_power_of_two()
+        .clamp(64, reserve / 8)
 }
 
 /// Ring base of the pstore workload: past the root reserve, block-aligned
@@ -317,62 +325,12 @@ pub fn make_workload(
     let cores = cfg.cores;
     let reserve = root_reserve(cfg);
     match kind {
-        WorkloadKind::Rtree => {
-            let palloc = Palloc::new(&map, cores, reserve);
-            Box::new(RtreeWorkload::new(
-                map,
-                base,
-                palloc,
-                cores,
-                params.initial,
-                params.per_core_ops,
-                params.seed,
-                params.instrument,
-            ))
-        }
-        WorkloadKind::Btree => {
-            let palloc = Palloc::new(&map, cores, reserve);
-            Box::new(BtreeWorkload::new(
-                map,
-                base,
-                palloc,
-                cores,
-                params.initial,
-                params.per_core_ops,
-                params.seed,
-                params.instrument,
-            ))
-        }
-        WorkloadKind::Ctree => {
-            let palloc = Palloc::new(&map, cores, reserve);
-            Box::new(CtreeWorkload::new(
-                map,
-                base,
-                palloc,
-                cores,
-                params.initial,
-                params.per_core_ops,
-                params.seed,
-                params.instrument,
-            ))
-        }
+        WorkloadKind::Rtree => insert_workload(Rtree::new(base), cfg, params),
+        WorkloadKind::Btree => insert_workload(Btree::new(base), cfg, params),
+        WorkloadKind::Ctree => insert_workload(Ctree::new(base), cfg, params),
         WorkloadKind::Hashmap => {
-            // Buckets sized to about half the node count, power of two.
-            let buckets = (params.initial / 2)
-                .next_power_of_two()
-                .clamp(64, reserve / 8);
-            let palloc = Palloc::new(&map, cores, reserve);
-            Box::new(HashmapWorkload::new(
-                map,
-                base,
-                buckets,
-                palloc,
-                cores,
-                params.initial,
-                params.per_core_ops,
-                params.seed,
-                params.instrument,
-            ))
+            let buckets = hashmap_buckets(params, reserve);
+            insert_workload(Hashmap::new(base, buckets), cfg, params)
         }
         WorkloadKind::MutateNC
         | WorkloadKind::MutateC
@@ -433,6 +391,18 @@ pub fn make_workload(
     }
 }
 
+/// An insert workload over `structure`, with one allocator arena per core
+/// past the root reserve.
+fn insert_workload<S: InsertStructure + 'static>(
+    structure: S,
+    cfg: &SimConfig,
+    params: WorkloadParams,
+) -> Box<dyn Workload> {
+    let map = AddressMap::new(cfg);
+    let workload = InsertWorkload::new(structure, map, cfg.cores, root_reserve(cfg), params);
+    Box::new(workload)
+}
+
 /// Verifies a post-crash image against the structural invariants of the
 /// workload `kind` was built with (same `cfg`/`params` layout). Returns
 /// the number of recovered elements.
@@ -455,12 +425,12 @@ pub fn verify_recovery(
         WorkloadKind::Rtree => crate::rtree::check_rtree_recovery(image, &map, base),
         WorkloadKind::Ctree => crate::ctree::check_ctree_recovery(image, &map, base),
         WorkloadKind::Btree => crate::btree::check_btree_recovery(image, &map, base),
-        WorkloadKind::Hashmap => {
-            let buckets = (params.initial / 2)
-                .next_power_of_two()
-                .clamp(64, reserve / 8);
-            crate::hashmap::check_hashmap_recovery(image, &map, base, buckets)
-        }
+        WorkloadKind::Hashmap => crate::hashmap::check_hashmap_recovery(
+            image,
+            &map,
+            base,
+            hashmap_buckets(params, reserve),
+        ),
         WorkloadKind::MutateNC
         | WorkloadKind::MutateC
         | WorkloadKind::SwapNC

@@ -11,7 +11,7 @@
 use bbb::core::{PersistencyMode, System, SystemError};
 use bbb::sim::{AddressMap, SimConfig};
 use bbb::workloads::hashmap::check_hashmap_recovery;
-use bbb::workloads::{HashmapWorkload, Palloc};
+use bbb::workloads::{Hashmap, HashmapWorkload, WorkloadParams};
 
 const BUCKETS: u64 = 1 << 12;
 const INITIAL: u64 = 5_000;
@@ -21,18 +21,14 @@ fn build() -> Result<(System, HashmapWorkload, AddressMap), SystemError> {
     let cfg = SimConfig::default();
     let sys = System::new(cfg, PersistencyMode::BbbMemorySide)?;
     let map = sys.address_map().clone();
-    let palloc = Palloc::new(&map, 8, BUCKETS * 8);
-    let w = HashmapWorkload::new(
-        map.clone(),
-        map.persistent_base(),
-        BUCKETS,
-        palloc,
-        8,
-        INITIAL,
-        PER_CORE_OPS,
-        0xC0FFEE,
-        false, // no flushes: BBB makes the plain code crash consistent
-    );
+    let params = WorkloadParams {
+        initial: INITIAL,
+        per_core_ops: PER_CORE_OPS,
+        seed: 0xC0FFEE,
+        instrument: false, // no flushes: BBB makes the plain code crash consistent
+    };
+    let hashmap = Hashmap::new(map.persistent_base(), BUCKETS);
+    let w = HashmapWorkload::new(hashmap, map.clone(), 8, BUCKETS * 8, params);
     Ok((sys, w, map))
 }
 
