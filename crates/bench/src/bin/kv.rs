@@ -23,12 +23,12 @@ use bbb_core::PersistencyMode;
 use bbb_sim::Table;
 use bbb_workloads::WorkloadKind;
 
-const MODES: [(&str, PersistencyMode); 5] = [
-    ("eadr", PersistencyMode::Eadr),
-    ("bbb-mem", PersistencyMode::BbbMemorySide),
-    ("bbb-proc", PersistencyMode::BbbProcessorSide),
-    ("bep", PersistencyMode::Bep),
-    ("pmem", PersistencyMode::Pmem),
+const MODES: [PersistencyMode; 5] = [
+    PersistencyMode::Eadr,
+    PersistencyMode::BbbMemorySide,
+    PersistencyMode::BbbProcessorSide,
+    PersistencyMode::Bep,
+    PersistencyMode::Pmem,
 ];
 
 const MIXES: [(&str, WorkloadKind); 3] = [
@@ -64,7 +64,7 @@ fn main() {
 
     let mut specs = Vec::new();
     for &(_, kind) in &MIXES {
-        for &(_, mode) in &MODES {
+        for mode in MODES {
             specs.push(ExperimentSpec::new(kind, mode, &cfg, scale));
         }
     }
@@ -104,7 +104,7 @@ fn main() {
                 "WA",
             ],
         );
-        for (i, &(label, _)) in MODES.iter().enumerate() {
+        for (i, mode) in MODES.iter().enumerate() {
             let r = &results[m * MODES.len() + i];
             let persisted_bytes = r.stats.get("cores.persisting_store_bytes");
             let wa = if persisted_bytes == 0 {
@@ -116,7 +116,7 @@ fn main() {
                 )
             };
             t.row_owned(vec![
-                label.into(),
+                mode.tag().into(),
                 r.cycles().to_string(),
                 r.summary.ops.to_string(),
                 r.stats.get("persist.latency.p50").to_string(),

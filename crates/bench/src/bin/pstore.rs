@@ -14,12 +14,12 @@ use bbb_core::PersistencyMode;
 use bbb_sim::Table;
 use bbb_workloads::WorkloadKind;
 
-const MODES: [(&str, PersistencyMode); 5] = [
-    ("eadr", PersistencyMode::Eadr),
-    ("bbb-mem", PersistencyMode::BbbMemorySide),
-    ("bbb-proc", PersistencyMode::BbbProcessorSide),
-    ("bep", PersistencyMode::Bep),
-    ("pmem", PersistencyMode::Pmem),
+const MODES: [PersistencyMode; 5] = [
+    PersistencyMode::Eadr,
+    PersistencyMode::BbbMemorySide,
+    PersistencyMode::BbbProcessorSide,
+    PersistencyMode::Bep,
+    PersistencyMode::Pmem,
 ];
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
 
     let specs: Vec<ExperimentSpec> = MODES
         .iter()
-        .map(|&(_, mode)| ExperimentSpec::new(WorkloadKind::PstoreLog, mode, &cfg, scale))
+        .map(|&mode| ExperimentSpec::new(WorkloadKind::PstoreLog, mode, &cfg, scale))
         .collect();
     let results = runner.run(&specs);
     let base = results[0].cycles() as f64;
@@ -38,9 +38,9 @@ fn main() {
         "bbb-pstore ring log: producer/consumer append stream per mode",
         &["Mode", "cycles", "vs eADR", "NVMM writes", "fences"],
     );
-    for ((label, _), r) in MODES.iter().zip(&results) {
+    for (mode, r) in MODES.iter().zip(&results) {
         t.row_owned(vec![
-            (*label).into(),
+            mode.tag().into(),
             r.cycles().to_string(),
             format!("{:.3}", r.cycles() as f64 / base),
             r.nvmm_writes().to_string(),

@@ -7,8 +7,7 @@
 //! memoized, results in spec order), and print through a [`Report`]
 //! (ASCII tables, plus `BENCH_<name>.json` when `--json` is passed).
 //!
-//! This crate re-exports the runner API so older call sites — and the
-//! muscle memory of `bbb_bench::run_workload` — keep working.
+//! This crate re-exports the runner API so older call sites keep working.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,25 +21,11 @@ pub mod explore;
 pub mod parity;
 pub mod registry;
 
-use bbb_core::PersistencyMode;
-use bbb_sim::SimConfig;
-use bbb_workloads::WorkloadKind;
-
-/// Runs one workload under one persistency mode on the given machine
-/// (single-point convenience over [`ExperimentSpec`] + [`execute_spec`]).
-#[must_use]
-pub fn run_workload(
-    kind: WorkloadKind,
-    mode: PersistencyMode,
-    cfg: &SimConfig,
-    scale: Scale,
-) -> RunResult {
-    execute_spec(&ExperimentSpec::new(kind, mode, cfg, scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbb_core::PersistencyMode;
+    use bbb_workloads::WorkloadKind;
 
     #[test]
     fn smoke_scale_runs_quickly() {
@@ -49,31 +34,14 @@ mod tests {
             per_core_ops: 20,
         };
         let cfg = paper_config(scale);
-        let r = run_workload(
+        let r = execute_spec(&ExperimentSpec::new(
             WorkloadKind::Hashmap,
             PersistencyMode::BbbMemorySide,
             &cfg,
             scale,
-        );
+        ));
         assert!(r.summary.ops > 0);
         assert!(r.cycles() > 0);
         assert!(r.nvmm_writes() > 0);
-    }
-
-    #[test]
-    fn run_workload_matches_spec_execution() {
-        let scale = Scale {
-            initial: 200,
-            per_core_ops: 20,
-        };
-        let cfg = paper_config(scale);
-        let direct = run_workload(WorkloadKind::SwapC, PersistencyMode::Eadr, &cfg, scale);
-        let via_runner = Runner::with_threads(2).run(&[ExperimentSpec::new(
-            WorkloadKind::SwapC,
-            PersistencyMode::Eadr,
-            &cfg,
-            scale,
-        )]);
-        assert_eq!(direct, via_runner[0]);
     }
 }

@@ -14,10 +14,9 @@
 
 use bbb_sim::{AddressMap, BlockAddr, Counter, Cycle, SimConfig, Stats, BLOCK_BYTES};
 
-use crate::block::{cores_in, L2Line, Mesi};
+use crate::array::SetAssocArray;
+use crate::block::{cores_in, L1Line, L2Line, Mesi};
 use crate::hooks::{CoherenceHooks, MemoryPort, WritebackDecision};
-use crate::l1::L1Cache;
-use crate::l2::L2Cache;
 
 /// Timing and hit/miss outcome of one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +58,12 @@ struct Counters {
 /// every coherence case of the paper's Table II.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1s: Vec<L1Cache>,
-    l2: L2Cache,
+    /// Per-core private L1Ds.
+    l1s: Vec<SetAssocArray<L1Line>>,
+    /// The shared inclusive L2 (LLC). Inclusion invariant: every block in
+    /// any L1 is present here, and each line's directory entry records
+    /// which L1s hold it.
+    l2: SetAssocArray<L2Line>,
     map: AddressMap,
     l1_lat: Cycle,
     l2_lat: Cycle,
@@ -79,8 +82,10 @@ impl CacheHierarchy {
     #[must_use]
     pub fn new(cfg: &SimConfig) -> Self {
         Self {
-            l1s: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1d)).collect(),
-            l2: L2Cache::new(&cfg.l2),
+            l1s: (0..cfg.cores)
+                .map(|_| SetAssocArray::new(cfg.l1d.sets(), cfg.l1d.ways))
+                .collect(),
+            l2: SetAssocArray::new(cfg.l2.sets(), cfg.l2.ways),
             map: AddressMap::new(cfg),
             l1_lat: cfg.l1d.latency,
             l2_lat: cfg.l2.latency,
@@ -103,20 +108,20 @@ impl CacheHierarchy {
         self.l1s.len()
     }
 
-    /// Immutable view of one core's L1 (tests and crash draining).
+    /// Immutable view of the shared L2.
+    #[must_use]
+    pub fn l2(&self) -> &SetAssocArray<L2Line> {
+        &self.l2
+    }
+
+    /// MESI state of `block` in `core`'s L1 ([`Mesi::I`] if absent).
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     #[must_use]
-    pub fn l1(&self, core: usize) -> &L1Cache {
-        &self.l1s[core]
-    }
-
-    /// Immutable view of the shared L2.
-    #[must_use]
-    pub fn l2(&self) -> &L2Cache {
-        &self.l2
+    pub fn state_of(&self, core: usize, block: BlockAddr) -> Mesi {
+        self.l1s[core].get(block).map_or(Mesi::I, |l| l.state)
     }
 
     /// A load of `block` by `core`. Returns the access result and the
@@ -129,7 +134,7 @@ impl CacheHierarchy {
         mem: &mut dyn MemoryPort,
         hooks: &mut dyn CoherenceHooks,
     ) -> (AccessResult, [u8; BLOCK_BYTES]) {
-        if let Some(line) = self.l1s[core].touch(block) {
+        if let Some(line) = self.l1s[core].get_touch(block) {
             if line.state.readable() {
                 // L1 read hits refresh LRU stamps only — they cannot change
                 // any cached *contents*, so the mutation counter stays put.
@@ -152,11 +157,11 @@ impl CacheHierarchy {
             self.counters.l2_hits.inc();
             debug_assert_ne!(owner, core, "owner would have hit in its own L1");
             self.counters.interventions.inc();
-            let was_m = self.l1s[owner].state_of(block) == Mesi::M;
-            let data = self.l1s[owner].downgrade_to_shared(block);
+            let was_m = self.state_of(owner, block) == Mesi::M;
+            let data = self.downgrade_to_shared(owner, block);
             let line = self
                 .l2
-                .touch(block)
+                .get_touch(block)
                 .expect("inclusion: owner implies L2 line");
             line.owner = None;
             line.add_sharer(owner);
@@ -172,7 +177,7 @@ impl CacheHierarchy {
             }
             t += 2 * self.noc + self.l1_lat;
             (data, Mesi::S)
-        } else if let Some(line) = self.l2.touch(block) {
+        } else if let Some(line) = self.l2.get_touch(block) {
             // Plain L2 hit.
             self.counters.l2_hits.inc();
             let state = if line.unowned() { Mesi::E } else { Mesi::S };
@@ -184,9 +189,7 @@ impl CacheHierarchy {
             self.counters.l2_misses.inc();
             let (done, data) = mem.read_block(t, block);
             t = done;
-            let persistent = self.map.is_persistent_block(block);
-            let victim = self.l2.fill(block, data, persistent);
-            if let Some(v) = victim {
+            if let Some(v) = self.fill_l2(block, data) {
                 let accepted = self.evict_l2_line(t, v, mem, hooks);
                 t = t.max(accepted);
             }
@@ -195,7 +198,7 @@ impl CacheHierarchy {
 
         // Record the requester in the directory.
         {
-            let line = self.l2.peek_mut(block).expect("line just ensured");
+            let line = self.l2.get_mut(block).expect("line just ensured");
             match fill_state {
                 Mesi::E => {
                     debug_assert!(line.unowned());
@@ -207,8 +210,7 @@ impl CacheHierarchy {
         }
 
         t += self.noc; // data back to the L1
-        let persistent = self.map.is_persistent_block(block);
-        if let Some(victim) = self.l1s[core].fill(block, fill_state, data, persistent) {
+        if let Some(victim) = self.fill_l1(core, block, fill_state, data) {
             self.retire_l1_victim(t, core, victim.block, victim.state, victim.data, mem, hooks);
         }
         (
@@ -243,7 +245,7 @@ impl CacheHierarchy {
         // Fast path: the requester already owns the line — M outright, or E
         // via the silent upgrade (the directory records us as owner either
         // way). A single tag probe serves the whole store.
-        let fast = match self.l1s[core].touch(block) {
+        let fast = match self.l1s[core].get_touch(block) {
             Some(line) if matches!(line.state, Mesi::M | Mesi::E) => {
                 line.state = Mesi::M;
                 line.data[offset..offset + bytes.len()].copy_from_slice(bytes);
@@ -259,7 +261,7 @@ impl CacheHierarchy {
                 l1_hit: true,
             };
         }
-        let state = self.l1s[core].state_of(block);
+        let state = self.state_of(core, block);
         let result = match state {
             Mesi::M | Mesi::E => unreachable!("owned lines take the fast path"),
             Mesi::S => {
@@ -271,18 +273,18 @@ impl CacheHierarchy {
                 // not hold the line borrow (and allocates nothing).
                 let mask = self
                     .l2
-                    .touch(block)
+                    .get_touch(block)
                     .expect("inclusion: S implies L2 line")
                     .sharer_mask();
                 for o in cores_in(mask).filter(|&c| c != core) {
                     self.counters.invalidations.inc();
-                    self.l1s[o].invalidate(block);
+                    self.l1s[o].remove(block);
                     hooks.on_remote_invalidate(now, block, o, core, mem);
                 }
-                let line = self.l2.peek_mut(block).expect("line present");
+                let line = self.l2.get_mut(block).expect("line present");
                 line.sharers = 0;
                 line.owner = Some(core);
-                self.l1s[core].touch(block).expect("line present").state = Mesi::M;
+                self.l1s[core].get_touch(block).expect("line present").state = Mesi::M;
                 AccessResult {
                     completion: t + 2 * self.noc,
                     l1_hit: false,
@@ -296,9 +298,9 @@ impl CacheHierarchy {
                     self.counters.l2_hits.inc();
                     debug_assert_ne!(owner, core);
                     self.counters.invalidations.inc();
-                    let line = self.l1s[owner].invalidate(block).expect("directory owner");
+                    let line = self.l1s[owner].remove(block).expect("directory owner");
                     hooks.on_remote_invalidate(now, block, owner, core, mem);
-                    let l2line = self.l2.touch(block).expect("inclusion");
+                    let l2line = self.l2.get_touch(block).expect("inclusion");
                     if line.state == Mesi::M {
                         l2line.data = line.data;
                         l2line.dirty = true;
@@ -306,39 +308,37 @@ impl CacheHierarchy {
                     l2line.owner = None;
                     t += 2 * self.noc + self.l1_lat;
                     l2line.data
-                } else if self.l2.contains_block(block) {
+                } else if self.l2.contains(block) {
                     self.counters.l2_hits.inc();
-                    let mask = self.l2.touch(block).expect("present").sharer_mask();
+                    let mask = self.l2.get_touch(block).expect("present").sharer_mask();
                     if cores_in(mask).any(|c| c != core) {
                         t += 2 * self.noc;
                     }
                     for o in cores_in(mask).filter(|&c| c != core) {
                         self.counters.invalidations.inc();
-                        self.l1s[o].invalidate(block);
+                        self.l1s[o].remove(block);
                         hooks.on_remote_invalidate(now, block, o, core, mem);
                     }
-                    let line = self.l2.peek_mut(block).expect("present");
+                    let line = self.l2.get_mut(block).expect("present");
                     line.sharers = 0;
                     line.data
                 } else {
                     self.counters.l2_misses.inc();
                     let (done, data) = mem.read_block(t, block);
                     t = done;
-                    let persistent = self.map.is_persistent_block(block);
-                    if let Some(v) = self.l2.fill(block, data, persistent) {
+                    if let Some(v) = self.fill_l2(block, data) {
                         let accepted = self.evict_l2_line(t, v, mem, hooks);
                         t = t.max(accepted);
                     }
                     data
                 };
                 {
-                    let line = self.l2.peek_mut(block).expect("ensured");
+                    let line = self.l2.get_mut(block).expect("ensured");
                     line.owner = Some(core);
                     line.sharers = 0;
                 }
                 t += self.noc;
-                let persistent = self.map.is_persistent_block(block);
-                if let Some(victim) = self.l1s[core].fill(block, Mesi::M, data, persistent) {
+                if let Some(victim) = self.fill_l1(core, block, Mesi::M, data) {
                     self.retire_l1_victim(
                         t,
                         core,
@@ -356,7 +356,7 @@ impl CacheHierarchy {
             }
         };
 
-        let line = self.l1s[core].peek_mut(block).expect("M line installed");
+        let line = self.l1s[core].get_mut(block).expect("M line installed");
         debug_assert_eq!(line.state, Mesi::M);
         line.data[offset..offset + bytes.len()].copy_from_slice(bytes);
         result
@@ -384,9 +384,9 @@ impl CacheHierarchy {
         };
 
         let (data, was_dirty) = match owner {
-            Some(o) if self.l1s[o].state_of(block) == Mesi::M => {
-                let data = self.l1s[o].downgrade_to_shared(block);
-                let line = self.l2.peek_mut(block).expect("inclusion");
+            Some(o) if self.state_of(o, block) == Mesi::M => {
+                let data = self.downgrade_to_shared(o, block);
+                let line = self.l2.get_mut(block).expect("inclusion");
                 line.data = data;
                 line.owner = None;
                 line.add_sharer(o);
@@ -394,14 +394,14 @@ impl CacheHierarchy {
             }
             Some(o) => {
                 // Owner in E: clean; demote to S for simplicity.
-                let data = self.l1s[o].downgrade_to_shared(block);
-                let line = self.l2.peek_mut(block).expect("inclusion");
+                let data = self.downgrade_to_shared(o, block);
+                let line = self.l2.get_mut(block).expect("inclusion");
                 line.owner = None;
                 line.add_sharer(o);
                 (data, line.dirty)
             }
             None => {
-                let line = self.l2.peek(block).expect("checked present");
+                let line = self.l2.get(block).expect("checked present");
                 (line.data, line.dirty)
             }
         };
@@ -413,7 +413,7 @@ impl CacheHierarchy {
             };
         }
         let persist = mem.write_block(t, block, data);
-        let line = self.l2.peek_mut(block).expect("present");
+        let line = self.l2.get_mut(block).expect("present");
         line.dirty = false;
         FlushResult {
             persist,
@@ -427,9 +427,9 @@ impl CacheHierarchy {
     #[must_use]
     pub fn dirty_blocks(&self) -> Vec<(BlockAddr, [u8; BLOCK_BYTES], bool)> {
         let mut out = Vec::new();
-        for line in self.l2.iter() {
+        for (_, line) in self.l2.iter() {
             if let Some(o) = line.owner {
-                let l1 = self.l1s[o].peek(line.block).expect("inclusion");
+                let l1 = self.l1s[o].get(line.block).expect("inclusion");
                 if l1.state == Mesi::M {
                     out.push((line.block, l1.data, line.persistent));
                     continue;
@@ -445,9 +445,9 @@ impl CacheHierarchy {
     /// Latest value of `block` visible in the hierarchy, if cached.
     #[must_use]
     pub fn peek_block(&self, block: BlockAddr) -> Option<[u8; BLOCK_BYTES]> {
-        let line = self.l2.peek(block)?;
+        let line = self.l2.get(block)?;
         if let Some(o) = line.owner {
-            if let Some(l1) = self.l1s[o].peek(block) {
+            if let Some(l1) = self.l1s[o].get(block) {
                 return Some(l1.data);
             }
         }
@@ -461,10 +461,10 @@ impl CacheHierarchy {
     /// Panics (with a description) on the first violation found.
     pub fn check_invariants(&self) {
         for (core, l1) in self.l1s.iter().enumerate() {
-            for line in l1.iter() {
+            for (_, line) in l1.iter() {
                 let l2 = self
                     .l2
-                    .peek(line.block)
+                    .get(line.block)
                     .unwrap_or_else(|| panic!("inclusion violated: {} not in L2", line.block));
                 match line.state {
                     Mesi::M | Mesi::E => assert_eq!(
@@ -482,9 +482,9 @@ impl CacheHierarchy {
                 }
             }
         }
-        for line in self.l2.iter() {
+        for (_, line) in self.l2.iter() {
             if let Some(o) = line.owner {
-                let st = self.l1s[o].state_of(line.block);
+                let st = self.state_of(o, line.block);
                 assert!(
                     matches!(st, Mesi::M | Mesi::E),
                     "owner {o} of {} holds state {st:?}",
@@ -494,7 +494,7 @@ impl CacheHierarchy {
             }
             for c in line.sharer_cores() {
                 assert_eq!(
-                    self.l1s[c].state_of(line.block),
+                    self.state_of(c, line.block),
                     Mesi::S,
                     "sharer {c} of {} not in S",
                     line.block
@@ -526,13 +526,55 @@ impl CacheHierarchy {
     /// requester-side L1 state that matters. `None` when the block is
     /// absent from L2 or unowned.
     fn l2_owner(&self, block: BlockAddr) -> Option<usize> {
-        self.l2.peek(block).and_then(|l| l.owner)
+        self.l2.get(block).and_then(|l| l.owner)
     }
 
     /// `None` when the block is absent from the L2 entirely, otherwise
     /// `Some(owner_or_none)`.
     fn l2_owner_or_none(&self, block: BlockAddr) -> Option<Option<usize>> {
-        self.l2.peek(block).map(|l| l.owner)
+        self.l2.get(block).map(|l| l.owner)
+    }
+
+    /// Installs `block` in `core`'s L1, returning the evicted victim line
+    /// if the set was full. The caller retires the victim into the L2
+    /// directory (its data when it was in [`Mesi::M`]).
+    fn fill_l1(
+        &mut self,
+        core: usize,
+        block: BlockAddr,
+        state: Mesi,
+        data: [u8; BLOCK_BYTES],
+    ) -> Option<L1Line> {
+        debug_assert_ne!(state, Mesi::I, "cannot fill an invalid line");
+        let persistent = self.map.is_persistent_block(block);
+        self.l1s[core]
+            .insert(block, L1Line::new(block, state, data, persistent))
+            .map(|(_, line)| line)
+    }
+
+    /// Installs a freshly fetched block in the L2 (clean, no L1 copies).
+    /// Returns the evicted victim, whose directory entry tells the caller
+    /// which L1s to back-invalidate and whose dirty bit decides the
+    /// writeback.
+    fn fill_l2(&mut self, block: BlockAddr, data: [u8; BLOCK_BYTES]) -> Option<L2Line> {
+        let persistent = self.map.is_persistent_block(block);
+        self.l2
+            .insert(block, L2Line::new(block, data, persistent))
+            .map(|(_, line)| line)
+    }
+
+    /// Downgrades `core`'s M/E copy of `block` to S, returning its data
+    /// (the intervention response payload).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not in `core`'s L1.
+    fn downgrade_to_shared(&mut self, core: usize, block: BlockAddr) -> [u8; BLOCK_BYTES] {
+        let line = self.l1s[core]
+            .get_mut(block)
+            .expect("downgrade of absent line");
+        line.state = Mesi::S;
+        line.data
     }
 
     /// Folds an evicted L1 line's state back into the L2 directory and
@@ -551,7 +593,7 @@ impl CacheHierarchy {
     ) {
         let line = self
             .l2
-            .peek_mut(block)
+            .get_mut(block)
             .expect("inclusion: L1 victim must be in L2");
         match state {
             Mesi::M => {
@@ -584,7 +626,7 @@ impl CacheHierarchy {
     ) -> Cycle {
         if let Some(o) = victim.owner {
             self.counters.back_invalidations.inc();
-            if let Some(l1line) = self.l1s[o].invalidate(victim.block) {
+            if let Some(l1line) = self.l1s[o].remove(victim.block) {
                 if l1line.state == Mesi::M {
                     victim.data = l1line.data;
                     victim.dirty = true;
@@ -593,7 +635,7 @@ impl CacheHierarchy {
         }
         for c in cores_in(victim.sharer_mask()) {
             self.counters.back_invalidations.inc();
-            self.l1s[c].invalidate(victim.block);
+            self.l1s[c].remove(victim.block);
         }
         if victim.dirty {
             match hooks.on_llc_dirty_evict(now, victim.block, &victim.data, victim.persistent, mem)
@@ -611,14 +653,6 @@ impl CacheHierarchy {
             hooks.on_llc_clean_evict(now, victim.block, mem);
             now
         }
-    }
-}
-
-impl L2Cache {
-    /// True if the block is present (helper local to the protocol).
-    #[must_use]
-    pub fn contains_block(&self, block: BlockAddr) -> bool {
-        self.peek(block).is_some()
     }
 }
 
@@ -701,10 +735,10 @@ mod tests {
         let b = pblock(&c, 1);
 
         h.read(0, 0, b, &mut mem, &mut hooks);
-        assert_eq!(h.l1(0).state_of(b), Mesi::E);
+        assert_eq!(h.state_of(0, b), Mesi::E);
         let w = h.write(100, 0, b, 0, &[0xAA], &mut mem, &mut hooks);
         assert!(w.l1_hit, "E->M upgrade is silent");
-        assert_eq!(h.l1(0).state_of(b), Mesi::M);
+        assert_eq!(h.state_of(0, b), Mesi::M);
         assert_eq!(h.peek_block(b).unwrap()[0], 0xAA);
         h.check_invariants();
     }
@@ -721,8 +755,8 @@ mod tests {
         h.read(1000, 1, b, &mut mem, &mut hooks);
         // First reader had E; second read finds an owner -> intervention
         // downgrades (clean E, no dirty data) or plain share.
-        assert_eq!(h.l1(0).state_of(b), Mesi::S);
-        assert_eq!(h.l1(1).state_of(b), Mesi::S);
+        assert_eq!(h.state_of(0, b), Mesi::S);
+        assert_eq!(h.state_of(1, b), Mesi::S);
         h.check_invariants();
     }
 
@@ -735,11 +769,11 @@ mod tests {
         let b = pblock(&c, 3);
 
         h.write(0, 0, b, 0, &[0x01], &mut mem, &mut hooks);
-        assert_eq!(h.l1(0).state_of(b), Mesi::M);
+        assert_eq!(h.state_of(0, b), Mesi::M);
         // Core 1 writes: RdX must invalidate core 0 and transfer the data.
         h.write(1000, 1, b, 1, &[0x02], &mut mem, &mut hooks);
-        assert_eq!(h.l1(0).state_of(b), Mesi::I);
-        assert_eq!(h.l1(1).state_of(b), Mesi::M);
+        assert_eq!(h.state_of(0, b), Mesi::I);
+        assert_eq!(h.state_of(1, b), Mesi::M);
         let data = h.peek_block(b).unwrap();
         assert_eq!(&data[..2], &[0x01, 0x02], "both writes merged");
         assert_eq!(h.stats().get("cache.invalidations"), 1);
@@ -756,12 +790,12 @@ mod tests {
 
         h.read(0, 0, b, &mut mem, &mut hooks);
         h.read(1000, 1, b, &mut mem, &mut hooks);
-        assert_eq!(h.l1(0).state_of(b), Mesi::S);
+        assert_eq!(h.state_of(0, b), Mesi::S);
         // Core 1 upgrades S -> M.
         let w = h.write(2000, 1, b, 0, &[0x5A], &mut mem, &mut hooks);
         assert!(!w.l1_hit);
-        assert_eq!(h.l1(0).state_of(b), Mesi::I);
-        assert_eq!(h.l1(1).state_of(b), Mesi::M);
+        assert_eq!(h.state_of(0, b), Mesi::I);
+        assert_eq!(h.state_of(1, b), Mesi::M);
         assert_eq!(h.stats().get("cache.upgrades"), 1);
         h.check_invariants();
     }
@@ -777,8 +811,8 @@ mod tests {
         h.write(0, 0, b, 0, &[0x77], &mut mem, &mut hooks);
         let (_, data) = h.read(1000, 1, b, &mut mem, &mut hooks);
         assert_eq!(data[0], 0x77, "intervention forwards dirty data");
-        assert_eq!(h.l1(0).state_of(b), Mesi::S);
-        assert_eq!(h.l1(1).state_of(b), Mesi::S);
+        assert_eq!(h.state_of(0, b), Mesi::S);
+        assert_eq!(h.state_of(1, b), Mesi::S);
         // No memory writeback happened: dirty data absorbed by LLC.
         assert!(mem.writes.is_empty());
         assert_eq!(h.stats().get("cache.interventions"), 1);
@@ -838,7 +872,7 @@ mod tests {
             "dirty victim written back: {:?}",
             mem.writes
         );
-        assert_eq!(h.l1(0).state_of(collide(0)), Mesi::I, "back-invalidated");
+        assert_eq!(h.state_of(0, collide(0)), Mesi::I, "back-invalidated");
         assert_eq!(mem.store.read_block(collide(0))[0], 0xD1);
         assert!(h.stats().get("cache.writebacks") >= 1);
         assert!(h.stats().get("cache.back_invalidations") >= 1);
@@ -892,6 +926,40 @@ mod tests {
         for i in 0..16u8 {
             assert_eq!(data[i as usize], i, "byte {i} survived the ping-pong");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "absent line")]
+    fn downgrade_of_absent_line_panics() {
+        let c = cfg();
+        let mut h = CacheHierarchy::new(&c);
+        h.downgrade_to_shared(0, pblock(&c, 0));
+    }
+
+    #[test]
+    fn l2_conflict_eviction_returns_directory_state() {
+        // Small config L2: 32 sets x 4 ways; blocks 32 apart collide.
+        let c = cfg();
+        let mut h = CacheHierarchy::new(&c);
+        let base = pblock(&c, 0);
+        let collide = |k: u64| BlockAddr::from_index(base.index() + k * 32);
+        for k in 0..4 {
+            assert!(h.fill_l2(collide(k), [k as u8; 64]).is_none());
+        }
+        let fresh = h.l2().get(collide(1)).unwrap();
+        assert!(!fresh.dirty && fresh.unowned() && fresh.persistent);
+        let line = h.l2.get_mut(collide(1)).unwrap();
+        line.add_sharer(1);
+        line.dirty = true;
+        // Re-touch every other way so collide(1) is LRU.
+        for k in [0, 2, 3] {
+            h.l2.get_touch(collide(k));
+        }
+        let victim = h.fill_l2(collide(4), [9; 64]).expect("full set evicts");
+        assert_eq!(victim.block, collide(1));
+        assert!(victim.has_sharer(1) && victim.dirty && victim.persistent);
+        assert_eq!(victim.data, [1; 64]);
+        assert_eq!(h.l2().len(), 4);
     }
 
     #[test]

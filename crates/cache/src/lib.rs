@@ -30,8 +30,6 @@ pub mod array;
 pub mod block;
 pub mod hierarchy;
 pub mod hooks;
-pub mod l1;
-pub mod l2;
 
 pub use array::SetAssocArray;
 pub use block::{cores_in, L1Line, L2Line, Mesi};

@@ -6,12 +6,13 @@
 //! 1. [`evaluate`] computes the model's allowed/forbidden outcome
 //!    partition (with a witness per forbidden outcome).
 //! 2. The shape is compiled onto the simulator under several
-//!    interleavings and crash-swept two ways: a progressive op-boundary
-//!    sweep (non-destructive [`System::crash_image`] after every op,
-//!    memoized by `crash_image_epoch`), and a cycle-granular sweep
-//!    through the crashfuzz grid planner on the [`bbb_core::ScheduledOps`]
-//!    bridge ([`bbb_crashfuzz::schedule_images`]), which crashes *inside*
-//!    ops where drains are in flight.
+//!    interleavings and `sweep_schedule` crash-sweeps each two ways: a
+//!    progressive op-boundary sweep (non-destructive
+//!    [`System::crash_image`] after every op, memoized by
+//!    `crash_image_epoch`), and a cycle-granular sweep through the
+//!    crashfuzz grid planner on the [`bbb_core::ScheduledOps`] bridge
+//!    ([`bbb_crashfuzz::schedule_images`]), which crashes *inside* ops
+//!    where drains are in flight.
 //! 3. Observed post-crash outcomes are diffed against the model in both
 //!    directions: an observed outcome the model forbids is a **soundness
 //!    violation** (sim bug or model bug — either way a finding); an
@@ -123,11 +124,82 @@ impl ShapeConform {
     }
 }
 
-/// Projects a crash image to the shape's outcome vector.
-fn project(img: &NvmImage, base: u64, locs: usize) -> Outcome {
-    (0..locs)
-        .map(|l| img.read_u64(base + GEN_OFFSETS[l]))
-        .collect()
+/// Where a sweep first produced an outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Provenance {
+    /// Crashed at the op boundary after the schedule's first `k` ops.
+    Op(usize),
+    /// The `i`-th image of the cycle-granular sweep.
+    Cycle(usize),
+}
+
+/// What crash-sweeping one schedule observed.
+#[derive(Debug, Clone)]
+pub(crate) struct ScheduleSweep {
+    /// Each distinct post-crash outcome, with where it first appeared
+    /// (op-boundary points come before cycle points).
+    pub(crate) outcomes: BTreeMap<Outcome, Provenance>,
+    /// Crash images examined.
+    pub(crate) crash_points: usize,
+}
+
+/// Crash-sweeps `prog` under one interleaving — the one litmus sweep,
+/// shared by the conformance differential and the legacy verdict table.
+/// `schedule` lists core ids (each takes that core's next instruction);
+/// `offsets` places each location above the persistent heap base. Runs
+/// the epoch-memoised op-boundary sweep, then [`schedule_images`] over
+/// [`conform_grid`]; every crash keeps its store buffers.
+///
+/// # Panics
+///
+/// Panics if the schedule does not consume every core's program exactly,
+/// a location has no offset, or `cfg` is rejected by [`System::new`].
+#[must_use]
+pub(crate) fn sweep_schedule(
+    prog: &Prog,
+    schedule: &[usize],
+    offsets: &[u64],
+    cfg: &SimConfig,
+    mode: PersistencyMode,
+) -> ScheduleSweep {
+    let base = AddressMap::new(cfg).persistent_base();
+    let project = |img: &NvmImage| -> Outcome {
+        (0..prog.num_locs())
+            .map(|l| img.read_u64(base + offsets[l]))
+            .collect()
+    };
+    let ops = prog.compile(schedule, offsets, base);
+    let mut outcomes = BTreeMap::new();
+    let mut crash_points = 0usize;
+
+    let mut sys = System::new(cfg.clone(), mode).expect("litmus config");
+    let mut last_epoch = None;
+    for k in 0..=ops.len() {
+        if k > 0 {
+            let (core, op) = &ops[k - 1];
+            sys.step_op(*core, op);
+        }
+        let epoch = sys.crash_image_epoch(true);
+        if last_epoch == Some(epoch) {
+            continue;
+        }
+        last_epoch = Some(epoch);
+        crash_points += 1;
+        outcomes
+            .entry(project(&sys.crash_image(true)))
+            .or_insert(Provenance::Op(k));
+    }
+    for (i, img) in schedule_images(cfg, mode, &ops, &conform_grid())
+        .iter()
+        .enumerate()
+    {
+        crash_points += 1;
+        outcomes.entry(project(img)).or_insert(Provenance::Cycle(i));
+    }
+    ScheduleSweep {
+        outcomes,
+        crash_points,
+    }
 }
 
 /// Runs the full differential for one shape: model evaluation plus both
@@ -140,9 +212,6 @@ fn project(img: &NvmImage, base: u64, locs: usize) -> Outcome {
 #[must_use]
 pub fn run_shape_conform(prog: &Prog) -> ShapeConform {
     let cfg = conform_config(prog.num_cores());
-    let base = AddressMap::new(&cfg).persistent_base();
-    let locs = prog.num_locs();
-    let grid = conform_grid();
 
     let all_schedules = interleavings(&prog.lens());
     let picked: Vec<&Vec<usize>> = if all_schedules.len() <= MAX_SCHEDULES {
@@ -161,33 +230,13 @@ pub fn run_shape_conform(prog: &Prog) -> ShapeConform {
             let mut crash_points = 0usize;
 
             for (si, schedule) in picked.iter().enumerate() {
-                let ops = prog.compile(schedule, &GEN_OFFSETS, base);
-                // Op-boundary sweep: one machine stepped op by op.
-                let mut sys = System::new(cfg.clone(), mode).expect("conform config");
-                let mut last_epoch = None;
-                for k in 0..=ops.len() {
-                    if k > 0 {
-                        let (core, op) = &ops[k - 1];
-                        sys.step_op(*core, op);
-                    }
-                    let epoch = sys.crash_image_epoch(true);
-                    if last_epoch == Some(epoch) {
-                        continue;
-                    }
-                    last_epoch = Some(epoch);
-                    crash_points += 1;
-                    observed
-                        .entry(project(&sys.crash_image(true), base, locs))
-                        .or_insert_with(|| format!("schedule {si}, after op {k}"));
-                }
-                // Cycle-granular sweep through the workload bridge: the
-                // crashfuzz planner straddles every persisting-store
-                // boundary and crashes mid-op.
-                for (pi, img) in schedule_images(&cfg, mode, &ops, &grid).iter().enumerate() {
-                    crash_points += 1;
-                    observed
-                        .entry(project(img, base, locs))
-                        .or_insert_with(|| format!("schedule {si}, cycle point {pi}"));
+                let sweep = sweep_schedule(prog, schedule, &GEN_OFFSETS, &cfg, mode);
+                crash_points += sweep.crash_points;
+                for (outcome, at) in sweep.outcomes {
+                    observed.entry(outcome).or_insert_with(|| match at {
+                        Provenance::Op(k) => format!("schedule {si}, after op {k}"),
+                        Provenance::Cycle(i) => format!("schedule {si}, cycle point {i}"),
+                    });
                 }
             }
 

@@ -16,7 +16,8 @@
 //! Violations come with a minimal witness: the two stores involved and
 //! the happens-before path that orders them. The [`litmus`] module runs
 //! canonical persistency litmus shapes against all five modes and decides
-//! allowed/forbidden verdicts empirically by sweeping crash points.
+//! allowed/forbidden verdicts empirically by sweeping crash points with
+//! `conform::sweep_schedule`, the crate's one litmus crash sweep.
 //!
 //! On top of the dynamic checker sits an *axiomatic* side: [`model`]
 //! declares a litmus IR and evaluates Px86-TSO-style persistency axioms

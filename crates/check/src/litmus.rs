@@ -1,35 +1,35 @@
-//! Persistency litmus shapes and the crash-sweep engine that evaluates
-//! them.
+//! Persistency litmus shapes and the verdict table built from them.
 //!
 //! Each [`Shape`] is a tiny Px86-style program in the declarative litmus
 //! IR ([`Prog`]) plus a pinned global schedule and a *forbidden* outcome
-//! (the lost-causality result the shape probes for). The engine runs
-//! every shape against every [`PersistencyMode`] twice:
+//! (the lost-causality result the shape probes for). [`run_shape`] runs a
+//! shape under one [`PersistencyMode`] twice:
 //!
-//! 1. **Crash sweep** — one fresh machine per prefix of the compiled op
-//!    sequence, crashed after the prefix; the forbidden outcome is
-//!    checked against every image. An observation decides the
-//!    *allowed/forbidden* verdict empirically.
+//! 1. **Crash sweep** — the shared litmus sweep
+//!    (`conform::sweep_schedule`) on the shape's pinned schedule:
+//!    every op boundary, then the cycle-granular crashfuzz grid. An
+//!    observation of the forbidden outcome decides the *allowed/forbidden*
+//!    verdict empirically, and every observed outcome must also be
+//!    allowed by the axiomatic model ([`crate::model`]).
 //! 2. **Checker pass** — one traced full run through
 //!    [`PersistOrderChecker`], which must report zero violations for the
 //!    battery modes and at least one witness where the shape deliberately
 //!    breaks a software discipline (flush-stripped PMEM, barrier-stripped
 //!    BEP).
 //!
-//! The same [`Prog`] also feeds the axiomatic side ([`crate::model`]):
-//! the single-core shapes must reproduce this table's verdicts exactly,
-//! and every swept image must be model-allowed. The cross-core `mp`
-//! shapes are the one deliberate divergence: their verdicts here are
-//! *schedule-pinned* (the producer's store is scheduled first), while
-//! the model quantifies over every interleaving and so allows what the
-//! pinned schedule forbids — see DESIGN.md's ambiguity ledger.
+//! The single-core shapes must reproduce the model's verdicts exactly.
+//! The cross-core `mp` shapes are the one deliberate divergence: their
+//! verdicts here are *schedule-pinned* (the producer's store is scheduled
+//! first), while the model quantifies over every interleaving and so
+//! allows what the pinned schedule forbids — see DESIGN.md's ambiguity
+//! ledger.
 
 use bbb_core::{PersistencyMode, System};
-use bbb_mem::NvmImage;
 use bbb_sim::{AddressMap, SimConfig};
 
 use crate::checker::{CheckReport, PersistOrderChecker};
-use crate::model::{Inst, Loc, Prog};
+use crate::conform::{sweep_schedule, Provenance};
+use crate::model::{evaluate, Inst, Loc, Prog};
 
 /// Byte offsets (from the persistent heap base) of the locations the
 /// shapes use. All in distinct cache blocks.
@@ -109,16 +109,6 @@ pub struct Shape {
     pub forbidden_outcome: &'static [(Loc, u64)],
     /// Expected verdict and witness requirement under `mode`.
     pub expect: fn(PersistencyMode) -> Expect,
-}
-
-impl Shape {
-    /// True when `img` shows the forbidden outcome.
-    #[must_use]
-    pub fn shows_forbidden(&self, img: &NvmImage, base: u64) -> bool {
-        self.forbidden_outcome
-            .iter()
-            .all(|&(loc, val)| img.read_u64(base + self.offsets[loc]) == val)
-    }
 }
 
 /// `x`/`y` locations of the same-core store-pair shapes.
@@ -307,23 +297,26 @@ pub struct LitmusRow {
     pub mode: PersistencyMode,
     /// Expected behavior.
     pub expect: Expect,
-    /// Crash points swept (op-sequence prefixes).
+    /// Crash images examined by the sweep.
     pub crash_points: usize,
-    /// Crash points whose image showed the forbidden outcome.
-    pub observed: usize,
-    /// First crash point (prefix length) that showed it, if any.
-    pub first_observed: Option<usize>,
+    /// Earliest crash point whose image showed the forbidden outcome, if
+    /// any (op boundaries before cycle points).
+    pub first_observed: Option<Provenance>,
+    /// Distinct observed outcomes the axiomatic model forbids (a
+    /// soundness violation; must be zero).
+    pub model_forbidden: usize,
     /// Checker report from the traced full run.
     pub report: CheckReport,
 }
 
 impl LitmusRow {
-    /// True when the observation matches the verdict and the checker
-    /// produced exactly the witnesses the cell requires.
+    /// True when the observation matches the verdict, every observed
+    /// outcome is model-allowed, and the checker produced exactly the
+    /// witnesses the cell requires.
     #[must_use]
     pub fn pass(&self) -> bool {
         let verdict_ok = match self.expect.verdict {
-            Verdict::Forbidden => self.observed == 0,
+            Verdict::Forbidden => self.first_observed.is_none(),
             Verdict::Allowed => true,
         };
         let witness_ok = if self.expect.witness {
@@ -331,54 +324,48 @@ impl LitmusRow {
         } else {
             self.report.ok()
         };
-        verdict_ok && witness_ok
+        verdict_ok && self.model_forbidden == 0 && witness_ok
     }
 
     /// Compact observed-behavior label for the verdict table.
     #[must_use]
     pub fn observed_label(&self) -> String {
-        if self.observed > 0 {
-            format!("hit @{}", self.first_observed.unwrap_or(0))
-        } else {
-            "never".to_owned()
+        match self.first_observed {
+            None => "never".to_owned(),
+            Some(Provenance::Op(k)) => format!("hit @{k}"),
+            Some(Provenance::Cycle(i)) => format!("hit @cycle {i}"),
         }
     }
 }
 
-/// The machine the litmus programs run on: the small two-core
-/// configuration, whose four-entry persist buffers make capacity-threshold
-/// drains reachable by a handful of stores.
-#[must_use]
-pub fn litmus_config() -> SimConfig {
-    SimConfig::small_for_tests()
-}
-
-/// Runs one shape under one mode: the crash sweep plus the traced checker
-/// pass.
+/// Runs one shape under one mode: the shared crash sweep on the shape's
+/// pinned schedule, judged against the shape's forbidden outcome and the
+/// model, plus the traced checker pass.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is rejected by [`System::new`].
 #[must_use]
 pub fn run_shape(shape: &Shape, mode: PersistencyMode) -> LitmusRow {
-    let cfg = litmus_config();
+    // The small two-core machine: its four-entry persist buffers make
+    // capacity-threshold drains reachable by a handful of stores.
+    let cfg = SimConfig::small_for_tests();
+    let sweep = sweep_schedule(&shape.prog, &shape.schedule, shape.offsets, &cfg, mode);
+    let first_observed = sweep
+        .outcomes
+        .iter()
+        .filter(|(o, _)| shape.forbidden_outcome.iter().all(|&(l, v)| o[l] == v))
+        .map(|(_, at)| *at)
+        .min();
+    let allowed = evaluate(&shape.prog, mode).allowed;
+    let model_forbidden = sweep
+        .outcomes
+        .keys()
+        .filter(|o| !allowed.contains(*o))
+        .count();
+
     let base = AddressMap::new(&cfg).persistent_base();
     let ops = shape.prog.compile(&shape.schedule, shape.offsets, base);
-
-    let mut observed = 0usize;
-    let mut first_observed = None;
-    for k in 0..=ops.len() {
-        let mut sys = System::new(cfg.clone(), mode).expect("litmus config");
-        for (core, op) in &ops[..k] {
-            sys.step_op(*core, op);
-        }
-        let img = sys.crash_now(true);
-        if shape.shows_forbidden(&img, base) {
-            observed += 1;
-            first_observed.get_or_insert(k);
-        }
-    }
-
     let mut sys = System::new(cfg.clone(), mode).expect("litmus config");
     sys.set_tracing(true);
     for (core, op) in &ops {
@@ -392,9 +379,9 @@ pub fn run_shape(shape: &Shape, mode: PersistencyMode) -> LitmusRow {
         shape: shape.name,
         mode,
         expect: (shape.expect)(mode),
-        crash_points: ops.len() + 1,
-        observed,
+        crash_points: sweep.crash_points,
         first_observed,
+        model_forbidden,
         report,
     }
 }
@@ -411,65 +398,9 @@ pub fn run_all() -> Vec<LitmusRow> {
     rows
 }
 
-/// Short mode label for table rows.
-#[must_use]
-pub const fn mode_label(mode: PersistencyMode) -> &'static str {
-    match mode {
-        PersistencyMode::Pmem => "pmem",
-        PersistencyMode::Eadr => "eadr",
-        PersistencyMode::BbbMemorySide => "bbb-mem",
-        PersistencyMode::BbbProcessorSide => "bbb-proc",
-        PersistencyMode::Bep => "bep",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_cell_meets_its_expectation() {
-        for row in run_all() {
-            assert!(
-                row.pass(),
-                "{} under {}: expected {} (witness: {}), observed {} with {} violations",
-                row.shape,
-                mode_label(row.mode),
-                row.expect.verdict.label(),
-                row.expect.witness,
-                row.observed_label(),
-                row.report.violations()
-            );
-        }
-    }
-
-    #[test]
-    fn flush_stripped_pmem_yields_a_strict_order_witness() {
-        let shapes = shapes();
-        let shape = shapes.iter().find(|s| s.name == "ss+clwb_y").unwrap();
-        let row = run_shape(shape, PersistencyMode::Pmem);
-        assert!(row.report.violations() >= 1);
-        assert_eq!(row.report.witnesses[0].rule, "strict-order");
-        assert!(
-            !row.report.witnesses[0].path.is_empty(),
-            "witness has a path"
-        );
-    }
-
-    #[test]
-    fn barrier_stripped_bep_yields_a_cross_core_witness() {
-        let shapes = shapes();
-        let shape = shapes.iter().find(|s| s.name == "mp").unwrap();
-        let row = run_shape(shape, PersistencyMode::Bep);
-        assert!(row.report.violations() >= 1, "volatile-buffer hazard found");
-        let w = &row.report.witnesses[0];
-        assert_eq!(w.rule, "cross-core-hb");
-        assert!(
-            w.path.len() >= 2,
-            "witness carries the happens-before path: {:?}",
-            w.path
-        );
-    }
 
     #[test]
     fn single_core_shapes_reproduce_the_model_verdicts() {
@@ -479,7 +410,7 @@ mod tests {
         // no generality.
         for shape in shapes().iter().filter(|s| s.prog.num_cores() == 1) {
             for mode in PersistencyMode::ALL {
-                let verdicts = crate::model::evaluate(&shape.prog, mode);
+                let verdicts = evaluate(&shape.prog, mode);
                 let mut outcome = vec![0u64; shape.prog.num_locs()];
                 for &(loc, val) in shape.forbidden_outcome {
                     outcome[loc] = val;
@@ -491,59 +422,7 @@ mod tests {
                     table_forbids,
                     "{} under {}: model and verdict table disagree",
                     shape.name,
-                    mode_label(mode)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_swept_image_is_model_allowed() {
-        // Soundness over the legacy shapes, mp included: each image of
-        // the pinned-schedule sweep must land in the model's allowed set
-        // (the converse does not hold — the model quantifies over every
-        // interleaving, the sweep pins one).
-        let cfg = litmus_config();
-        let base = AddressMap::new(&cfg).persistent_base();
-        for shape in &shapes() {
-            let ops = shape.prog.compile(&shape.schedule, shape.offsets, base);
-            for mode in PersistencyMode::ALL {
-                let verdicts = crate::model::evaluate(&shape.prog, mode);
-                for k in 0..=ops.len() {
-                    let mut sys = System::new(cfg.clone(), mode).expect("litmus config");
-                    for (core, op) in &ops[..k] {
-                        sys.step_op(*core, op);
-                    }
-                    let img = sys.crash_now(true);
-                    let outcome: Vec<u64> = (0..shape.prog.num_locs())
-                        .map(|l| img.read_u64(base + shape.offsets[l]))
-                        .collect();
-                    assert!(
-                        verdicts.allowed.contains(&outcome),
-                        "{} under {} after {k} ops: sim outcome {outcome:?} is model-forbidden",
-                        shape.name,
-                        mode_label(mode)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn battery_modes_satisfy_pov_pop_on_every_shape() {
-        for shape in &shapes() {
-            for mode in [
-                PersistencyMode::Eadr,
-                PersistencyMode::BbbMemorySide,
-                PersistencyMode::BbbProcessorSide,
-            ] {
-                let row = run_shape(shape, mode);
-                assert!(
-                    row.report.ok(),
-                    "{} under {}: {:?}",
-                    shape.name,
-                    mode_label(mode),
-                    row.report.witnesses
+                    mode.tag()
                 );
             }
         }

@@ -25,7 +25,7 @@
 
 use bbb_check::conform::run_suite;
 use bbb_check::enumerate::{generate_suite, GenBounds};
-use bbb_check::litmus::{mode_label, run_all, run_shape, shapes};
+use bbb_check::litmus::{run_all, run_shape, shapes};
 use bbb_check::{CheckReport, PersistOrderChecker};
 use bbb_core::{PersistencyMode, System};
 use bbb_runner::{json_requested, Report, Runner};
@@ -76,7 +76,7 @@ fn litmus_cmd() -> bool {
         failed |= !pass;
         table.row_owned(vec![
             row.shape.to_owned(),
-            mode_label(row.mode).to_owned(),
+            row.mode.tag().to_owned(),
             row.expect.verdict.label().to_owned(),
             row.observed_label(),
             row.crash_points.to_string(),
@@ -110,11 +110,13 @@ fn litmus_cmd() -> bool {
 
     for row in rows.iter().filter(|r| !r.pass()) {
         eprintln!(
-            "\n{} under {}: expected {}, observed {} with {} checker violation(s)",
+            "\n{} under {}: expected {}, observed {}, {} model-forbidden outcome(s), \
+             {} checker violation(s)",
             row.shape,
-            mode_label(row.mode),
+            row.mode.tag(),
             row.expect.verdict.label(),
             row.observed_label(),
+            row.model_forbidden,
             row.report.violations()
         );
         for w in &row.report.witnesses {
@@ -125,11 +127,7 @@ fn litmus_cmd() -> bool {
     // is accompanied by concrete happens-before paths.
     for row in rows.iter().filter(|r| r.expect.witness && r.pass()) {
         if let Some(w) = row.report.witnesses.first() {
-            println!(
-                "\nwitness ({} under {}):\n{w}",
-                row.shape,
-                mode_label(row.mode)
-            );
+            println!("\nwitness ({} under {}):\n{w}", row.shape, row.mode.tag());
         }
     }
     failed
@@ -181,7 +179,7 @@ fn audit_cmd() -> bool {
                 cfg: SimConfig::default(),
                 instrument: false,
                 expect_clean: Some(true),
-                label: format!("{}/{}", kind.name(), mode_label(mode)),
+                label: format!("{}/{}", kind.name(), mode.tag()),
             });
         }
     }
@@ -366,7 +364,7 @@ fn conform_cmd(full: bool) -> bool {
             .sum::<usize>();
         total_points += points;
         table.row_owned(vec![
-            mode_label(mode).to_owned(),
+            mode.tag().to_owned(),
             results.len().to_string(),
             executions.to_string(),
             allowed.to_string(),
@@ -393,7 +391,7 @@ fn conform_cmd(full: bool) -> bool {
                 for v in &m.violations {
                     diff.row_owned(vec![
                         r.shape.clone(),
-                        mode_label(m.mode).to_owned(),
+                        m.mode.tag().to_owned(),
                         v.outcome_str.clone(),
                         v.provenance.clone(),
                         v.witness.clone(),
@@ -427,7 +425,7 @@ fn conform_cmd(full: bool) -> bool {
         })
         .take(3);
     for (shape, mode, w) in samples {
-        println!("\nwitness ({shape} under {}): {w}", mode_label(mode));
+        println!("\nwitness ({shape} under {}): {w}", mode.tag());
     }
     for r in &results {
         for m in &r.per_mode {
@@ -435,7 +433,7 @@ fn conform_cmd(full: bool) -> bool {
                 eprintln!(
                     "\nDISAGREEMENT {} under {}: sim produced {} ({}), model forbids it:\n  {}",
                     r.shape,
-                    mode_label(m.mode),
+                    m.mode.tag(),
                     v.outcome_str,
                     v.provenance,
                     v.witness

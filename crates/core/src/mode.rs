@@ -49,6 +49,18 @@ impl PersistencyMode {
         PersistencyMode::Bep,
     ];
 
+    /// Short tag for table rows, labels and generated test names.
+    #[must_use]
+    pub const fn tag(self) -> &'static str {
+        match self {
+            PersistencyMode::Pmem => "pmem",
+            PersistencyMode::Eadr => "eadr",
+            PersistencyMode::BbbMemorySide => "bbb-mem",
+            PersistencyMode::BbbProcessorSide => "bbb-proc",
+            PersistencyMode::Bep => "bep",
+        }
+    }
+
     /// True when correct persist ordering requires software `clwb`/`sfence`
     /// (Table I "Persist Inst." row).
     #[must_use]

@@ -176,7 +176,7 @@ fn crashfuzz_regression_{wl_fn}_{mode_fn}_cycle_{cycle}() {{
     assert!(report.ok(), "{{report}}");
 }}"#,
         wl_fn = sanitize(cfg.workload.name()),
-        mode_fn = sanitize(cfg.mode_tag()),
+        mode_fn = sanitize(cfg.mode.tag()),
         cycle = failure.cycle,
         wl_name = cfg.workload.name(),
         mode_debug = cfg.mode,

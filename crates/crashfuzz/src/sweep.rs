@@ -142,18 +142,6 @@ impl SweepConfig {
         self.mode.has_bbpb() || matches!(self.mode, PersistencyMode::Eadr)
     }
 
-    /// Short mode tag for labels and generated test names.
-    #[must_use]
-    pub fn mode_tag(&self) -> &'static str {
-        match self.mode {
-            PersistencyMode::Pmem => "pmem",
-            PersistencyMode::Eadr => "eadr",
-            PersistencyMode::BbbMemorySide => "bbb-mem",
-            PersistencyMode::BbbProcessorSide => "bbb-proc",
-            PersistencyMode::Bep => "bep",
-        }
-    }
-
     /// Human-readable pair label, e.g. `hashmap/bbb-mem` or
     /// `swapC/pmem (lossy)`.
     #[must_use]
@@ -163,7 +151,7 @@ impl SweepConfig {
         } else {
             " (lossy)"
         };
-        format!("{}/{}{}", self.workload.name(), self.mode_tag(), suffix)
+        format!("{}/{}{}", self.workload.name(), self.mode.tag(), suffix)
     }
 
     /// The same pair under the mode's correct discipline — the partner a

@@ -105,21 +105,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Overrides the simulated core count (exploration drivers sweep
-    /// 8–64).
-    #[must_use]
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cfg.cores = cores;
-        self
-    }
-
-    /// Overrides the memory controller's write-pending-queue depth.
-    #[must_use]
-    pub fn with_wpq_entries(mut self, entries: usize) -> Self {
-        self.cfg.mem.wpq_entries = entries;
-        self
-    }
-
     /// Turns the persistent-writeback-suppression endurance optimization
     /// on or off.
     #[must_use]
@@ -227,8 +212,12 @@ mod tests {
             scale(),
         );
         assert!(!a.same_point(&a.clone().with_entries(a.cfg.bbpb.entries * 2)));
-        assert!(!a.same_point(&a.clone().with_cores(a.cfg.cores + 1)));
-        assert!(!a.same_point(&a.clone().with_wpq_entries(a.cfg.mem.wpq_entries * 2)));
+        let mut more_cores = a.clone();
+        more_cores.cfg.cores += 1;
+        assert!(!a.same_point(&more_cores));
+        let mut deeper_wpq = a.clone();
+        deeper_wpq.cfg.mem.wpq_entries *= 2;
+        assert!(!a.same_point(&deeper_wpq));
         assert!(!a.same_point(&a.clone().with_drain_policy(DrainPolicy::Eager)));
         assert!(!a.same_point(&a.clone().with_writeback_suppression(false)));
         assert!(!a.same_point(&a.clone().with_epoch_barriers(true)));

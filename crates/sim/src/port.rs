@@ -6,7 +6,7 @@
 //! (`bbb-core`) can drain persist buffers through whichever port the
 //! system wires up.
 
-use crate::{Addr, BlockAddr, Cycle, BLOCK_BYTES};
+use crate::{BlockAddr, Cycle, BLOCK_BYTES};
 
 /// A timed, block-granular interface to main memory.
 pub trait MemoryPort {
@@ -34,11 +34,6 @@ pub trait MemoryPort {
         let (_, mut data) = self.read_block(now, block);
         data[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.write_block(now, block, data)
-    }
-
-    /// Convenience: the block containing `addr`.
-    fn block_of(&self, addr: Addr) -> BlockAddr {
-        BlockAddr::containing(addr)
     }
 }
 
@@ -75,16 +70,6 @@ mod tests {
         assert_eq!(done, 5);
         assert_eq!(m.data[4..6], [1, 2]);
         assert_eq!((m.reads, m.writes), (1, 1));
-    }
-
-    #[test]
-    fn block_of_helper() {
-        let m = VecMem {
-            data: [0; BLOCK_BYTES],
-            reads: 0,
-            writes: 0,
-        };
-        assert_eq!(m.block_of(0x7F), BlockAddr::from_index(1));
     }
 
     #[test]

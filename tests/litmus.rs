@@ -3,10 +3,11 @@
 //! on. Run on the full 8-core Table III configuration.
 //!
 //! The second half drives the same shapes through `bbb-check`'s
-//! persistency litmus engine, which sweeps crash points and replays each
-//! traced run through the vector-clock persist-order checker.
+//! persistency litmus table, which crash-sweeps each shape with the shared
+//! litmus sweep, checks every outcome against the axiomatic model, and
+//! replays each traced run through the vector-clock persist-order checker.
 
-use bbb::check::litmus::{mode_label, run_all, run_shape, shapes, Verdict};
+use bbb::check::litmus::{run_all, run_shape, shapes, Verdict};
 use bbb::core::{PersistencyMode, System};
 use bbb::cpu::Op;
 use bbb::sim::SimConfig;
@@ -137,8 +138,9 @@ fn independent_writers_keep_their_own_causality() {
 }
 
 /// The persistency litmus matrix: every shape under every mode must match
-/// its expected allowed/forbidden verdict, and the checker must be silent
-/// except where a shape deliberately breaks a software discipline.
+/// its expected allowed/forbidden verdict, every crash outcome must be
+/// allowed by the axiomatic model, and the checker must be silent except
+/// where a shape deliberately breaks a software discipline.
 #[test]
 fn persistency_litmus_matrix_matches_expectations() {
     let rows = run_all();
@@ -146,23 +148,27 @@ fn persistency_litmus_matrix_matches_expectations() {
     for row in &rows {
         assert!(
             row.pass(),
-            "{} under {}: expected {}, observed {}, {} checker violation(s)",
+            "{} under {}: expected {}, observed {}, {} model-forbidden outcome(s), \
+             {} checker violation(s)",
             row.shape,
-            mode_label(row.mode),
+            row.mode.tag(),
             row.expect.verdict.label(),
             row.observed_label(),
+            row.model_forbidden,
             row.report.violations()
         );
     }
 }
 
-/// Forbidden outcomes are *never* observed under either BBB organization,
-/// across every crash point of every shape — the paper's guarantee at
+/// Forbidden outcomes are *never* observed under either BBB organization
+/// or eADR, across every crash point of every shape, and the checker
+/// verifies PoV = PoP on every traced run — the paper's guarantee at
 /// litmus granularity.
 #[test]
 fn bbb_modes_forbid_every_lost_causality_outcome() {
     for shape in &shapes() {
         for mode in [
+            PersistencyMode::Eadr,
             PersistencyMode::BbbMemorySide,
             PersistencyMode::BbbProcessorSide,
         ] {
@@ -170,11 +176,30 @@ fn bbb_modes_forbid_every_lost_causality_outcome() {
             assert_eq!(
                 row.expect.verdict,
                 Verdict::Forbidden,
-                "{}: BBB should forbid the outcome",
+                "{}: battery modes should forbid the outcome",
                 shape.name
             );
-            assert_eq!(row.observed, 0, "{} under {}", shape.name, mode_label(mode));
-            assert!(row.report.ok(), "{} under {}", shape.name, mode_label(mode));
+            assert_eq!(
+                row.first_observed,
+                None,
+                "{} under {}",
+                shape.name,
+                mode.tag()
+            );
+            assert_eq!(
+                row.model_forbidden,
+                0,
+                "{} under {}",
+                shape.name,
+                mode.tag()
+            );
+            assert!(
+                row.report.ok(),
+                "{} under {}: {:?}",
+                shape.name,
+                mode.tag(),
+                row.report.witnesses
+            );
         }
     }
 }
@@ -189,6 +214,10 @@ fn stripped_disciplines_produce_minimal_witnesses() {
     let row = run_shape(flushless, PersistencyMode::Pmem);
     assert!(row.report.violations() >= 1, "flush-stripped PMEM witness");
     assert_eq!(row.report.witnesses[0].rule, "strict-order");
+    assert!(
+        !row.report.witnesses[0].path.is_empty(),
+        "strict-order witness has a path"
+    );
 
     let barrierless = all.iter().find(|s| s.name == "mp").unwrap();
     let row = run_shape(barrierless, PersistencyMode::Bep);
