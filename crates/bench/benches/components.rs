@@ -80,18 +80,32 @@ fn bench_protocol() {
 }
 
 fn bench_wpq() {
-    let mut n = NvmmController::new(MemTiming::default());
-    let mut t = 0u64;
-    bench("nvmm_write_through_wpq", 10_000, 20, || {
-        let out = MemoryPort::write_block(
-            &mut n,
-            t * 4,
-            BlockAddr::from_index(t % 8192),
-            [t as u8; 64],
+    // Saturated: each write arrives at the cycle the previous one was
+    // accepted, like a core stalled on backpressure, so the queue stays
+    // full and every write takes the full-queue path. Per-write cost
+    // should not grow with depth.
+    for depth in [16, 64, 256] {
+        let mut n = NvmmController::new(MemTiming {
+            wpq_entries: depth,
+            ..MemTiming::default()
+        });
+        let (mut t, mut i) = (0u64, 0u64);
+        bench(
+            &format!("nvmm_write_through_wpq/{depth}"),
+            10_000,
+            20,
+            || {
+                t = MemoryPort::write_block(
+                    &mut n,
+                    t,
+                    BlockAddr::from_index(i % 8192),
+                    [i as u8; 64],
+                );
+                i += 1;
+                black_box(t);
+            },
         );
-        t += 1;
-        black_box(out);
-    });
+    }
 }
 
 fn bench_full_system() {

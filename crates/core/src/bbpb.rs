@@ -19,7 +19,8 @@
 //! cost an extra NVMM write the moment the next store re-allocates it,
 //! defeating the coalescing the lazy policy exists to protect.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use bbb_sim::{
     BbpbConfig, BlockAddr, Counter, Cycle, FxHashMap, MemoryPort, Stats, TraceEvent, TraceLog,
@@ -48,9 +49,50 @@ struct Resident {
     seq: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    frees_at: Cycle,
+/// The cycles at which a persist buffer's issued drains free their
+/// entries, earliest first. A drain holds its slot until the WPQ accepts
+/// it, so these are the only events that can free room; keeping them
+/// ordered lets [`InFlight::advance`] return at once when nothing frees.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct InFlight(BinaryHeap<Reverse<Cycle>>);
+
+impl InFlight {
+    /// Drains still holding a slot.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if no drain holds a slot.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Records a drain whose slot frees at `frees_at`.
+    pub(crate) fn push(&mut self, frees_at: Cycle) {
+        self.0.push(Reverse(frees_at));
+    }
+
+    /// Retires every drain that has freed its slot by `now`.
+    pub(crate) fn advance(&mut self, now: Cycle) {
+        while self.0.peek().is_some_and(|&Reverse(f)| f <= now) {
+            self.0.pop();
+        }
+    }
+
+    /// The earliest cycle a slot frees, if any drain is in flight.
+    pub(crate) fn earliest(&self) -> Option<Cycle> {
+        self.0.peek().map(|&Reverse(f)| f)
+    }
+
+    /// The cycle the last in-flight drain frees its slot.
+    pub(crate) fn latest(&self) -> Option<Cycle> {
+        self.0.iter().map(|&Reverse(f)| f).max()
+    }
+
+    /// Forgets every in-flight drain (a crash).
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// One core's memory-side bbPB.
@@ -86,7 +128,7 @@ pub struct Bbpb {
     fifo: VecDeque<(BlockAddr, u64)>,
     /// Next write-sequence ticket number.
     next_seq: u64,
-    in_flight: Vec<InFlight>,
+    in_flight: InFlight,
     allocations: Counter,
     coalesces: Counter,
     rejections: Counter,
@@ -120,7 +162,7 @@ impl Bbpb {
             resident: FxHashMap::default(),
             fifo: VecDeque::new(),
             next_seq: 0,
-            in_flight: Vec::new(),
+            in_flight: InFlight::default(),
             allocations: Counter::new(),
             coalesces: Counter::new(),
             rejections: Counter::new(),
@@ -152,7 +194,7 @@ impl Bbpb {
     /// Entries occupied at `now` (resident plus drains still in flight).
     #[must_use]
     pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.advance(now);
+        self.in_flight.advance(now);
         self.resident.len() + self.in_flight.len()
     }
 
@@ -173,7 +215,7 @@ impl Bbpb {
         data: [u8; BLOCK_BYTES],
         mem: &mut dyn MemoryPort,
     ) -> AllocOutcome {
-        self.advance(now);
+        self.in_flight.advance(now);
         self.occupancy_sum
             .add((self.resident.len() + self.in_flight.len()) as u64);
         self.occupancy_samples.inc();
@@ -291,7 +333,7 @@ impl Bbpb {
         data: [u8; BLOCK_BYTES],
         mem: &mut dyn MemoryPort,
     ) {
-        self.advance(now);
+        self.in_flight.advance(now);
         if self.resident.contains_key(&block) {
             self.resident.get_mut(&block).expect("just probed").data = data;
             self.version += 1;
@@ -303,7 +345,7 @@ impl Bbpb {
             if !self.drain_oldest(now, mem) {
                 // Nothing resident to drain: wait out an in-flight drain.
                 let t = self.wait_for_free(now, mem);
-                self.advance(t);
+                self.in_flight.advance(t);
             }
             self.advance_in_flight_forced(now);
         }
@@ -327,12 +369,10 @@ impl Bbpb {
             forced: true,
         });
         let persist = mem.write_block(now, block, entry.data);
-        self.in_flight.push(InFlight {
-            frees_at: persist.max(now + self.drain_latency),
-        });
+        self.in_flight.push(persist.max(now + self.drain_latency));
         self.drains.inc();
         self.forced_drains.inc();
-        self.advance(now);
+        self.in_flight.advance(now);
         true
     }
 
@@ -345,7 +385,7 @@ impl Bbpb {
     /// arriving mid-burst waits for the first completion rather than
     /// stripping further resident entries.
     pub fn maybe_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) {
-        self.advance(now);
+        self.in_flight.advance(now);
         if self.resident.len() + self.in_flight.len() < self.drain_trigger_level {
             return;
         }
@@ -353,7 +393,7 @@ impl Bbpb {
             if !self.drain_oldest(now, mem) {
                 break;
             }
-            self.advance(now);
+            self.in_flight.advance(now);
         }
     }
 
@@ -423,16 +463,12 @@ impl Bbpb {
         s
     }
 
-    fn advance(&mut self, now: Cycle) {
-        self.in_flight.retain(|f| f.frees_at > now);
-    }
-
     /// Used only on the move-in path where waiting is not possible: treat
     /// lingering in-flight drains as freed (documented optimism; the
     /// battery covers in-flight data regardless).
     fn advance_in_flight_forced(&mut self, now: Cycle) {
         if self.resident.len() + self.in_flight.len() >= self.capacity {
-            self.in_flight.retain(|f| f.frees_at > now + 1);
+            self.in_flight.advance(now + 1);
         }
     }
 
@@ -454,9 +490,7 @@ impl Bbpb {
             forced: false,
         });
         let persist = mem.write_block(now, block, entry.data);
-        self.in_flight.push(InFlight {
-            frees_at: persist.max(now + self.drain_latency),
-        });
+        self.in_flight.push(persist.max(now + self.drain_latency));
         self.drains.inc();
         true
     }
@@ -469,13 +503,8 @@ impl Bbpb {
             // free; nothing to wait for.
             return now;
         }
-        let t = self
-            .in_flight
-            .iter()
-            .map(|f| f.frees_at)
-            .min()
-            .map_or(now, |f| f.max(now));
-        self.advance(t);
+        let t = self.in_flight.earliest().map_or(now, |f| f.max(now));
+        self.in_flight.advance(t);
         t
     }
 }
@@ -693,6 +722,231 @@ mod tests {
         p.allocate(2, b(2), [2; 64], &mut n);
         let order: Vec<u64> = p.drain_set().iter().map(|(blk, _)| blk.index()).collect();
         assert_eq!(order, vec![3, 1, 2]);
+    }
+
+    /// A bbPB with an eager least-recently-written order that filters its
+    /// in-flight drains with `retain` on every call. The reference the
+    /// differential test compares against.
+    struct RetainBbpb {
+        capacity: usize,
+        trigger: usize,
+        stop: usize,
+        drain_latency: Cycle,
+        /// Resident entries, least recently written first.
+        resident: Vec<(BlockAddr, [u8; BLOCK_BYTES])>,
+        in_flight: Vec<Cycle>,
+    }
+
+    impl RetainBbpb {
+        fn new(cfg: &BbpbConfig) -> Self {
+            Self {
+                capacity: cfg.entries,
+                trigger: cfg.drain_policy.trigger_level(cfg.entries),
+                stop: cfg.drain_policy.stop_level(cfg.entries),
+                drain_latency: cfg.drain_latency,
+                resident: Vec::new(),
+                in_flight: Vec::new(),
+            }
+        }
+
+        fn advance(&mut self, now: Cycle) {
+            self.in_flight.retain(|&f| f > now);
+        }
+
+        fn occupied(&self) -> usize {
+            self.resident.len() + self.in_flight.len()
+        }
+
+        fn occupancy(&mut self, now: Cycle) -> usize {
+            self.advance(now);
+            self.occupied()
+        }
+
+        /// Rewrites `block`'s entry and makes it the most recently written;
+        /// false if it is not resident.
+        fn rewrite(&mut self, block: BlockAddr, data: [u8; BLOCK_BYTES]) -> bool {
+            let Some(i) = self.resident.iter().position(|&(b, _)| b == block) else {
+                return false;
+            };
+            self.resident.remove(i);
+            self.resident.push((block, data));
+            true
+        }
+
+        fn issue(
+            &mut self,
+            now: Cycle,
+            block: BlockAddr,
+            data: [u8; 64],
+            mem: &mut dyn MemoryPort,
+        ) {
+            let persist = mem.write_block(now, block, data);
+            self.in_flight.push(persist.max(now + self.drain_latency));
+        }
+
+        fn drain_oldest(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> bool {
+            if self.resident.is_empty() {
+                return false;
+            }
+            let (block, data) = self.resident.remove(0);
+            self.issue(now, block, data, mem);
+            true
+        }
+
+        fn maybe_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) {
+            self.advance(now);
+            if self.occupied() < self.trigger {
+                return;
+            }
+            while self.resident.len() > self.stop && self.drain_oldest(now, mem) {
+                self.advance(now);
+            }
+        }
+
+        fn wait_for_free(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
+            if self.in_flight.is_empty() && !self.drain_oldest(now, mem) {
+                return now;
+            }
+            let t = self
+                .in_flight
+                .iter()
+                .copied()
+                .min()
+                .map_or(now, |f| f.max(now));
+            self.advance(t);
+            t
+        }
+
+        fn allocate(
+            &mut self,
+            now: Cycle,
+            block: BlockAddr,
+            data: [u8; BLOCK_BYTES],
+            mem: &mut dyn MemoryPort,
+        ) -> AllocOutcome {
+            self.advance(now);
+            if self.rewrite(block, data) {
+                self.maybe_drain(now, mem);
+                return AllocOutcome {
+                    done: now,
+                    coalesced: true,
+                    rejected: false,
+                };
+            }
+            self.maybe_drain(now, mem);
+            let (mut t, mut rejected) = (now, false);
+            while self.occupied() >= self.capacity {
+                rejected = true;
+                t = self.wait_for_free(t, mem);
+            }
+            self.resident.push((block, data));
+            self.maybe_drain(t, mem);
+            AllocOutcome {
+                done: t,
+                coalesced: false,
+                rejected,
+            }
+        }
+
+        fn insert_moved(
+            &mut self,
+            now: Cycle,
+            block: BlockAddr,
+            data: [u8; BLOCK_BYTES],
+            mem: &mut dyn MemoryPort,
+        ) {
+            self.advance(now);
+            if self.rewrite(block, data) {
+                return;
+            }
+            while self.occupied() >= self.capacity {
+                if !self.drain_oldest(now, mem) {
+                    let t = self.wait_for_free(now, mem);
+                    self.advance(t);
+                }
+                if self.occupied() >= self.capacity {
+                    self.in_flight.retain(|&f| f > now + 1);
+                }
+            }
+            self.resident.push((block, data));
+        }
+
+        fn force_drain(&mut self, now: Cycle, block: BlockAddr, mem: &mut dyn MemoryPort) -> bool {
+            let Some(i) = self.resident.iter().position(|&(b, _)| b == block) else {
+                return false;
+            };
+            let (_, data) = self.resident.remove(i);
+            self.issue(now, block, data, mem);
+            self.advance(now);
+            true
+        }
+
+        fn take_for_move(&mut self, block: BlockAddr) -> Option<[u8; BLOCK_BYTES]> {
+            let i = self.resident.iter().position(|&(b, _)| b == block)?;
+            Some(self.resident.remove(i).1)
+        }
+    }
+
+    #[test]
+    fn ordered_in_flight_set_matches_the_retain_reference() {
+        // Operations arrive from several cores' clocks (moves and forced
+        // drains are driven by other cores), so cycles are not monotone; a
+        // tiny WPQ makes drains slow enough that allocations stall.
+        let mut rng = bbb_sim::SplitMix64::new(0xBB9B_0001);
+        let mut rejections = 0;
+        for case in 0..200 {
+            let cfg = BbpbConfig {
+                entries: 1 + rng.next_index(32),
+                drain_policy: if rng.chance(1, 8) {
+                    DrainPolicy::Eager
+                } else {
+                    DrainPolicy::Threshold {
+                        threshold_pct: 50 + rng.next_below(51) as u8,
+                    }
+                },
+                drain_latency: rng.next_below(200),
+            };
+            let timing = MemTiming {
+                wpq_entries: 1 + rng.next_index(8),
+                nvmm_channels: 1 + rng.next_index(4),
+                ..MemTiming::default()
+            };
+            let (mut p, mut pm) = (Bbpb::new(&cfg), NvmmController::new(timing.clone()));
+            let (mut r, mut rm) = (RetainBbpb::new(&cfg), NvmmController::new(timing));
+            let blocks = 1 + rng.next_below(3 * cfg.entries as u64);
+            let mut clocks = vec![0; 1 + rng.next_index(4)];
+            for step in 0..400 {
+                let core = rng.next_index(clocks.len());
+                clocks[core] += rng.next_below(400);
+                let now = clocks[core];
+                let block = b(rng.next_below(blocks));
+                let data = [step as u8; 64];
+                let ctx = format!("case {case} step {step} at {now}");
+                match rng.next_below(10) {
+                    0 => {
+                        p.insert_moved(now, block, data, &mut pm);
+                        r.insert_moved(now, block, data, &mut rm);
+                    }
+                    1 => assert_eq!(
+                        p.force_drain(now, block, &mut pm),
+                        r.force_drain(now, block, &mut rm),
+                        "{ctx}"
+                    ),
+                    2 => assert_eq!(p.take_for_move(block), r.take_for_move(block), "{ctx}"),
+                    _ => {
+                        let got = p.allocate(now, block, data, &mut pm);
+                        let want = r.allocate(now, block, data, &mut rm);
+                        assert_eq!(got, want, "{ctx}");
+                        rejections += u64::from(got.rejected);
+                        clocks[core] = got.done;
+                    }
+                }
+                let t = now + rng.next_below(2000);
+                assert_eq!(p.occupancy(t), r.occupancy(t), "{ctx}: occupancy({t})");
+                assert_eq!(p.drain_set(), r.resident, "{ctx}: drain order");
+            }
+        }
+        assert!(rejections > 0, "the sequences never stalled an allocation");
     }
 
     #[test]

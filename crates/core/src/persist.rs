@@ -30,10 +30,12 @@ pub struct PersistState {
     bbpbs: Vec<Bbpb>,
     procpbs: Vec<ProcSidePb>,
     suppress_writebacks: bool,
-    /// Last known holder per block — the O(1) fast path for
-    /// [`PersistState::holder_of`]. Entries go stale when a buffer drains
-    /// on its own (threshold drains, migrations made through `bbpb_mut`),
-    /// so a hit is always validated against the buffer before use.
+    /// The core each block last entered a bbPB on — the O(1) answer of
+    /// [`PersistState::holder_of`]. Every insertion into a bbPB goes
+    /// through this state ([`PersistState::allocate_block`] or a coherence
+    /// move), so a block absent from the index is in no bbPB. Entries go
+    /// stale when a buffer drains on its own, so a hit is validated
+    /// against the buffer before use.
     holder_index: FxHashMap<BlockAddr, usize>,
     entry_moves: Counter,
     downgrades_kept: Counter,
@@ -112,8 +114,8 @@ impl PersistState {
     }
 
     /// Allocates a persisting store's block into `core`'s bbPB, keeping
-    /// the holder index in sync. The system's store-drain path goes
-    /// through here rather than `bbpb_mut().allocate(..)` directly.
+    /// the holder index in sync. This is the only way a store enters a
+    /// bbPB owned by this state.
     ///
     /// If another core's bbPB still holds the block — possible once the
     /// previous writer's L1 copy is gone, so no coherence message
@@ -175,12 +177,14 @@ impl PersistState {
         &self.bbpbs[core]
     }
 
-    /// Mutable access to one core's memory-side bbPB.
+    /// Mutable access to one core's memory-side bbPB, for draining it.
+    /// Inserting through it would bypass the holder index; allocate with
+    /// [`PersistState::allocate_block`] instead.
     ///
     /// # Panics
     ///
     /// Panics as [`PersistState::bbpb`] does.
-    pub fn bbpb_mut(&mut self, core: usize) -> &mut Bbpb {
+    pub(crate) fn bbpb_mut(&mut self, core: usize) -> &mut Bbpb {
         &mut self.bbpbs[core]
     }
 
@@ -208,10 +212,9 @@ impl PersistState {
     /// (paper §III-D) requires at most one.
     ///
     /// Release builds answer from the block→core index in O(1) — this is
-    /// on the hot path of every LLC eviction — falling back to a scan when
-    /// the indexed buffer no longer holds the block. Debug builds always
-    /// scan every buffer so invariant-4 violations are caught no matter
-    /// how the buffers were mutated.
+    /// on the hot path of every LLC eviction. Debug builds always scan
+    /// every buffer so invariant-4 violations are caught no matter how the
+    /// buffers were mutated.
     #[must_use]
     pub fn holder_of(&self, block: BlockAddr) -> Option<usize> {
         #[cfg(debug_assertions)]
@@ -225,15 +228,14 @@ impl PersistState {
     }
 
     /// The release-build answer: the block→core index in O(1), validated
-    /// against the indexed buffer, with a scan fallback for stale entries.
-    /// Always compiled so debug builds can audit it against the scan.
+    /// against the indexed buffer. The index is authoritative, so a miss
+    /// or a stale entry means no buffer holds the block. Always compiled
+    /// so debug builds can audit it against the scan.
     fn holder_of_indexed(&self, block: BlockAddr) -> Option<usize> {
-        if let Some(&c) = self.holder_index.get(&block) {
-            if self.bbpbs.get(c).is_some_and(|pb| pb.contains(block)) {
-                return Some(c);
-            }
-        }
-        self.bbpbs.iter().position(|pb| pb.contains(block))
+        self.holder_index
+            .get(&block)
+            .copied()
+            .filter(|&c| self.bbpbs[c].contains(block))
     }
 
     /// The ground truth: an exhaustive scan of every buffer, asserting
@@ -489,7 +491,7 @@ mod tests {
     fn remote_invalidate_moves_entry_between_bbpbs() {
         let mut s = state(PersistencyMode::BbbMemorySide);
         let mut n = nvmm();
-        s.bbpb_mut(0).allocate(0, b(5), [0xAA; 64], &mut n);
+        s.allocate_block(0, 0, b(5), [0xAA; 64], &mut n);
         assert_eq!(s.holder_of(b(5)), Some(0));
         s.on_remote_invalidate(10, b(5), 0, 1, &mut n);
         assert_eq!(s.holder_of(b(5)), Some(1));
@@ -511,7 +513,7 @@ mod tests {
     fn downgrade_keeps_entry_in_place() {
         let mut s = state(PersistencyMode::BbbMemorySide);
         let mut n = nvmm();
-        s.bbpb_mut(0).allocate(0, b(7), [1; 64], &mut n);
+        s.allocate_block(0, 0, b(7), [1; 64], &mut n);
         s.on_remote_downgrade(10, b(7), 0);
         assert_eq!(s.holder_of(b(7)), Some(0), "entry stayed put");
         assert_eq!(s.stats().get("bbpb.downgrades_kept"), 1);
@@ -522,7 +524,7 @@ mod tests {
     fn dirty_evict_forces_drain_and_suppresses_persistent_writeback() {
         let mut s = state(PersistencyMode::BbbMemorySide);
         let mut n = nvmm();
-        s.bbpb_mut(1).allocate(0, b(9), [0x42; 64], &mut n);
+        s.allocate_block(1, 0, b(9), [0x42; 64], &mut n);
         let d = s.on_llc_dirty_evict(5, b(9), &[0x42; 64], true, &mut n);
         assert_eq!(d, WritebackDecision::Suppress);
         assert_eq!(s.holder_of(b(9)), None, "forced drain removed the entry");
@@ -580,8 +582,8 @@ mod tests {
         // that release builds answer from the index.
         let mut s = state(PersistencyMode::BbbMemorySide);
         let mut n = nvmm();
-        s.bbpb_mut(0).allocate(0, b(5), [1; 64], &mut n);
-        s.bbpb_mut(1).allocate(0, b(5), [2; 64], &mut n);
+        s.bbpbs[0].allocate(0, b(5), [1; 64], &mut n);
+        s.bbpbs[1].allocate(0, b(5), [2; 64], &mut n);
         let _ = s.holder_of(b(5));
     }
 
@@ -689,7 +691,7 @@ mod tests {
     fn clean_evict_enforces_inclusion() {
         let mut s = state(PersistencyMode::BbbMemorySide);
         let mut n = nvmm();
-        s.bbpb_mut(0).allocate(0, b(4), [7; 64], &mut n);
+        s.allocate_block(0, 0, b(4), [7; 64], &mut n);
         s.on_llc_clean_evict(5, b(4), &mut n);
         assert_eq!(s.holder_of(b(4)), None);
         assert_eq!(n.endurance().writes_to(b(4)), 1);

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use bbb_sim::{BbpbConfig, BlockAddr, Counter, Cycle, MemoryPort, Stats, TraceEvent, TraceLog};
 
-use crate::bbpb::AllocOutcome;
+use crate::bbpb::{AllocOutcome, InFlight};
 
 /// One buffered store: payload bytes at an offset within a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ pub struct ProcSidePb {
     drain_stop_level: usize,
     drain_latency: Cycle,
     entries: VecDeque<StoreEntry>,
-    in_flight: Vec<Cycle>,
+    in_flight: InFlight,
     allocations: Counter,
     coalesces: Counter,
     rejections: Counter,
@@ -88,7 +88,7 @@ impl ProcSidePb {
             drain_stop_level: cfg.drain_policy.stop_level(cfg.entries),
             drain_latency: cfg.drain_latency,
             entries: VecDeque::new(),
-            in_flight: Vec::new(),
+            in_flight: InFlight::default(),
             allocations: Counter::new(),
             coalesces: Counter::new(),
             rejections: Counter::new(),
@@ -109,7 +109,7 @@ impl ProcSidePb {
     /// Entries occupied at `now`.
     #[must_use]
     pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.advance(now);
+        self.in_flight.advance(now);
         self.entries.len() + self.in_flight.len()
     }
 
@@ -129,7 +129,7 @@ impl ProcSidePb {
         mem: &mut dyn MemoryPort,
     ) -> AllocOutcome {
         assert!(bytes.len() <= 8, "store payload exceeds 8 bytes");
-        self.advance(now);
+        self.in_flight.advance(now);
 
         if let Some(last) = self.entries.back_mut() {
             if last.block == block && last.offset == offset && last.len == bytes.len() {
@@ -184,7 +184,7 @@ impl ProcSidePb {
     /// drains oldest entries until occupancy falls to the stop level (see
     /// [`crate::Bbpb::maybe_drain`] for the trigger/stop semantics).
     pub fn maybe_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) {
-        self.advance(now);
+        self.in_flight.advance(now);
         if self.entries.len() + self.in_flight.len() < self.drain_trigger_level {
             return;
         }
@@ -192,7 +192,7 @@ impl ProcSidePb {
             if !self.drain_oldest(now, mem) {
                 break;
             }
-            self.advance(now);
+            self.in_flight.advance(now);
         }
     }
 
@@ -212,13 +212,8 @@ impl ProcSidePb {
     /// durable — the completion time of an epoch barrier.
     pub fn drain_all_timed(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
         while self.drain_oldest(now, mem) {}
-        let t = self
-            .in_flight
-            .iter()
-            .copied()
-            .max()
-            .map_or(now, |f| f.max(now));
-        self.advance(t);
+        let t = self.in_flight.latest().map_or(now, |f| f.max(now));
+        self.in_flight.advance(t);
         t
     }
 
@@ -265,10 +260,6 @@ impl ProcSidePb {
         s
     }
 
-    fn advance(&mut self, now: Cycle) {
-        self.in_flight.retain(|&f| f > now);
-    }
-
     /// Drains the single oldest entry: one PbDrain event, one media
     /// read-modify-write, one drain counted. The system's crash drain
     /// interleaves these across cores in coherence order. Returns false
@@ -295,13 +286,8 @@ impl ProcSidePb {
         if self.in_flight.is_empty() && !self.drain_oldest(now, mem) {
             return now;
         }
-        let t = self
-            .in_flight
-            .iter()
-            .copied()
-            .min()
-            .map_or(now, |f| f.max(now));
-        self.advance(t);
+        let t = self.in_flight.earliest().map_or(now, |f| f.max(now));
+        self.in_flight.advance(t);
         t
     }
 }
@@ -405,6 +391,193 @@ mod tests {
         assert_eq!(p.stats().get("bbpb.drains"), 0, "below trigger");
         p.push(0, b(4), 0, &[4u8; 8], 0, 0, &mut n);
         assert!(p.stats().get("bbpb.drains") >= 1);
+    }
+
+    /// A processor-side buffer that filters its in-flight drains with
+    /// `retain` on every call. The reference the differential test
+    /// compares against.
+    struct RetainProcPb {
+        capacity: usize,
+        trigger: usize,
+        stop: usize,
+        drain_latency: Cycle,
+        entries: VecDeque<(BlockAddr, usize, [u8; 8])>,
+        in_flight: Vec<Cycle>,
+    }
+
+    impl RetainProcPb {
+        fn new(cfg: &BbpbConfig) -> Self {
+            Self {
+                capacity: cfg.entries,
+                trigger: cfg.drain_policy.trigger_level(cfg.entries),
+                stop: cfg.drain_policy.stop_level(cfg.entries),
+                drain_latency: cfg.drain_latency,
+                entries: VecDeque::new(),
+                in_flight: Vec::new(),
+            }
+        }
+
+        fn advance(&mut self, now: Cycle) {
+            self.in_flight.retain(|&f| f > now);
+        }
+
+        fn occupied(&self) -> usize {
+            self.entries.len() + self.in_flight.len()
+        }
+
+        fn occupancy(&mut self, now: Cycle) -> usize {
+            self.advance(now);
+            self.occupied()
+        }
+
+        fn drain_oldest(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> bool {
+            let Some((block, offset, bytes)) = self.entries.pop_front() else {
+                return false;
+            };
+            let persist = mem.rmw_block(now, block, offset, &bytes);
+            self.in_flight.push(persist.max(now + self.drain_latency));
+            true
+        }
+
+        fn maybe_drain(&mut self, now: Cycle, mem: &mut dyn MemoryPort) {
+            self.advance(now);
+            if self.occupied() < self.trigger {
+                return;
+            }
+            while self.entries.len() > self.stop && self.drain_oldest(now, mem) {
+                self.advance(now);
+            }
+        }
+
+        fn wait_for_free(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
+            if self.in_flight.is_empty() && !self.drain_oldest(now, mem) {
+                return now;
+            }
+            let t = self
+                .in_flight
+                .iter()
+                .copied()
+                .min()
+                .map_or(now, |f| f.max(now));
+            self.advance(t);
+            t
+        }
+
+        fn push(
+            &mut self,
+            now: Cycle,
+            block: BlockAddr,
+            offset: usize,
+            bytes: [u8; 8],
+            mem: &mut dyn MemoryPort,
+        ) -> AllocOutcome {
+            self.advance(now);
+            if let Some(last) = self.entries.back_mut() {
+                if last.0 == block && last.1 == offset {
+                    last.2 = bytes;
+                    self.maybe_drain(now, mem);
+                    return AllocOutcome {
+                        done: now,
+                        coalesced: true,
+                        rejected: false,
+                    };
+                }
+            }
+            self.maybe_drain(now, mem);
+            let (mut t, mut rejected) = (now, false);
+            while self.occupied() >= self.capacity {
+                rejected = true;
+                t = self.wait_for_free(t, mem);
+            }
+            self.entries.push_back((block, offset, bytes));
+            self.maybe_drain(t, mem);
+            AllocOutcome {
+                done: t,
+                coalesced: false,
+                rejected,
+            }
+        }
+
+        fn drain_all_timed(&mut self, now: Cycle, mem: &mut dyn MemoryPort) -> Cycle {
+            while self.drain_oldest(now, mem) {}
+            let t = self
+                .in_flight
+                .iter()
+                .copied()
+                .max()
+                .map_or(now, |f| f.max(now));
+            self.advance(t);
+            t
+        }
+
+        fn drain_through_block(&mut self, now: Cycle, block: BlockAddr, mem: &mut dyn MemoryPort) {
+            if let Some(last) = self.entries.iter().rposition(|e| e.0 == block) {
+                for _ in 0..=last {
+                    self.drain_oldest(now, mem);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_in_flight_set_matches_the_retain_reference() {
+        // Remote invalidations drain through a block at another core's
+        // clock, so cycles are not monotone; a tiny WPQ makes drains slow
+        // enough that pushes stall.
+        let mut rng = bbb_sim::SplitMix64::new(0xB90C_0001);
+        let mut rejections = 0;
+        for case in 0..200 {
+            let cfg = BbpbConfig {
+                entries: 1 + rng.next_index(32),
+                drain_policy: if rng.chance(1, 8) {
+                    DrainPolicy::Eager
+                } else {
+                    DrainPolicy::Threshold {
+                        threshold_pct: 50 + rng.next_below(51) as u8,
+                    }
+                },
+                drain_latency: rng.next_below(200),
+            };
+            let timing = MemTiming {
+                wpq_entries: 1 + rng.next_index(8),
+                nvmm_channels: 1 + rng.next_index(4),
+                ..MemTiming::default()
+            };
+            let (mut p, mut pm) = (ProcSidePb::new(&cfg), NvmmController::new(timing.clone()));
+            let (mut r, mut rm) = (RetainProcPb::new(&cfg), NvmmController::new(timing));
+            let blocks = 1 + rng.next_below(2 * cfg.entries as u64);
+            let mut clocks = vec![0; 1 + rng.next_index(4)];
+            for step in 0..400u64 {
+                let core = rng.next_index(clocks.len());
+                clocks[core] += rng.next_below(400);
+                let now = clocks[core];
+                let block = b(rng.next_below(blocks));
+                let offset = 8 * rng.next_index(2);
+                let bytes = step.to_le_bytes();
+                let ctx = format!("case {case} step {step} at {now}");
+                match rng.next_below(20) {
+                    0 => assert_eq!(
+                        p.drain_all_timed(now, &mut pm),
+                        r.drain_all_timed(now, &mut rm),
+                        "{ctx}"
+                    ),
+                    1 | 2 => {
+                        p.drain_through_block(now, block, &mut pm);
+                        r.drain_through_block(now, block, &mut rm);
+                    }
+                    _ => {
+                        let got = p.push(now, block, offset, &bytes, now, step, &mut pm);
+                        let want = r.push(now, block, offset, bytes, &mut rm);
+                        assert_eq!(got, want, "{ctx}");
+                        rejections += u64::from(got.rejected);
+                        clocks[core] = got.done;
+                    }
+                }
+                let t = now + rng.next_below(2000);
+                assert_eq!(p.occupancy(t), r.occupancy(t), "{ctx}: occupancy({t})");
+            }
+        }
+        assert!(rejections > 0, "the sequences never stalled a push");
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! Timing is analytic: each accepted entry is immediately assigned a media
 //! start/completion window on the controller's channels; the entry occupies
 //! a WPQ slot until its media write completes.
+//!
+//! Every NVMM write passes through [`WritePendingQueue::offer`], so the
+//! queue keeps its entries in completion order as well as by block: a
+//! min-heap of `(completion, block)` events lets an offer retire expired
+//! entries and find the earliest completion without scanning the queue.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bbb_sim::{BlockAddr, Counter, Cycle, FxHashMap, Stats, BLOCK_BYTES};
 
@@ -50,6 +58,11 @@ pub struct WpqAccept {
 pub struct WritePendingQueue {
     capacity: usize,
     entries: FxHashMap<BlockAddr, Entry>,
+    /// One `(completion, block)` event per media write, earliest first. An
+    /// event is live while `entries[block].completion == completion`; an
+    /// entry overwritten by a newer write to its block strands its event,
+    /// which [`WritePendingQueue::purge`] discards when it surfaces.
+    completions: BinaryHeap<Reverse<(Cycle, BlockAddr)>>,
     media_writes: Counter,
     coalesced: Counter,
     backpressure_events: Counter,
@@ -67,6 +80,7 @@ impl WritePendingQueue {
         Self {
             capacity,
             entries: FxHashMap::default(),
+            completions: BinaryHeap::new(),
             media_writes: Counter::new(),
             coalesced: Counter::new(),
             backpressure_events: Counter::new(),
@@ -100,17 +114,14 @@ impl WritePendingQueue {
         media: &mut ChannelScheduler,
         write_latency: Cycle,
     ) -> WpqAccept {
+        // After `purge(now)` every entry completes after `now`, so the
+        // map's size is the occupancy at `now` and the earliest live event
+        // is the earliest completion.
         self.purge(now);
         let mut accept = now;
-        if self.coalescable(block, now).is_none() && self.occupancy(now) >= self.capacity {
+        if self.coalescable(block, now).is_none() && self.entries.len() >= self.capacity {
             self.backpressure_events.inc();
-            accept = self
-                .entries
-                .values()
-                .map(|e| e.completion)
-                .filter(|&c| c > now)
-                .min()
-                .unwrap_or(now);
+            accept = self.earliest_completion().unwrap_or(now);
             self.purge(accept);
         }
         // The coalesce decision is made at the cycle the write is actually
@@ -128,6 +139,7 @@ impl WritePendingQueue {
         }
         let (start, completion) = media.schedule(accept, write_latency);
         self.entries.insert(block, Entry { start, completion });
+        self.completions.push(Reverse((completion, block)));
         self.media_writes.inc();
         WpqAccept {
             persist: accept,
@@ -152,9 +164,39 @@ impl WritePendingQueue {
         self.entries.get(&block).is_some_and(|e| e.completion > now)
     }
 
-    /// Drops entries whose media writes have completed.
+    /// True if the `(completion, block)` event still names its block's
+    /// queued entry.
+    fn is_live(&self, (completion, block): (Cycle, BlockAddr)) -> bool {
+        self.entries
+            .get(&block)
+            .is_some_and(|e| e.completion == completion)
+    }
+
+    /// Drops entries whose media writes have completed by `now`: pops the
+    /// expired events, removing each live one's entry. Every entry has a
+    /// live event, so no expired entry is left behind.
     fn purge(&mut self, now: Cycle) {
-        self.entries.retain(|_, e| e.completion > now);
+        while let Some(&Reverse(event)) = self.completions.peek() {
+            if event.0 > now {
+                break;
+            }
+            self.completions.pop();
+            if self.is_live(event) {
+                self.entries.remove(&event.1);
+            }
+        }
+    }
+
+    /// The earliest completion among queued entries, discarding stale
+    /// events that reach the top of the heap on the way.
+    fn earliest_completion(&mut self) -> Option<Cycle> {
+        while let Some(&Reverse(event)) = self.completions.peek() {
+            if self.is_live(event) {
+                return Some(event.0);
+            }
+            self.completions.pop();
+        }
+        None
     }
 
     /// Bytes that the flush-on-fail battery must drain if power is lost at
@@ -327,6 +369,156 @@ mod tests {
         assert!(q.holds(b, 10));
         assert!(!q.holds(b, WLAT + 1));
         assert!(!q.holds(BlockAddr::from_index(4), 0));
+    }
+
+    #[test]
+    fn overwritten_in_flight_entry_stops_counting_toward_occupancy() {
+        // Pins a known occupancy defect; this test fails once it is fixed.
+        // A second write to a block whose media write has already started
+        // cannot coalesce, and its insert overwrites the in-flight entry,
+        // so the older write no longer occupies a slot. Three outstanding
+        // media writes then fit a 2-entry queue without backpressure; a
+        // correct queue would stall the third write until cycle 1000.
+        let mut q = WritePendingQueue::new(2);
+        let mut m = ChannelScheduler::new(1);
+        let first = q.offer(0, BlockAddr::from_index(1), &mut m, WLAT);
+        let second = q.offer(0, BlockAddr::from_index(1), &mut m, WLAT);
+        let third = q.offer(0, BlockAddr::from_index(2), &mut m, WLAT);
+        assert_eq!(
+            [
+                first.media_completion,
+                second.media_completion,
+                third.media_completion
+            ],
+            [WLAT, 2 * WLAT, 3 * WLAT],
+            "three media writes outstanding at once"
+        );
+        assert_eq!(third.persist, 0, "the third write did not stall");
+        assert_eq!(q.stats().get("wpq.media_writes"), 3);
+        assert_eq!(q.stats().get("wpq.backpressure_events"), 0);
+        assert_eq!(q.occupancy(0), 2, "the overwritten write is not counted");
+    }
+
+    /// A WPQ that answers every question by scanning the whole queue:
+    /// purge by `retain`, occupancy by `count`, backpressure wait by
+    /// `min`. The reference the differential test compares against.
+    struct ScanWpq {
+        capacity: usize,
+        entries: FxHashMap<BlockAddr, Entry>,
+        media_writes: u64,
+        coalesced: u64,
+        backpressure_events: u64,
+    }
+
+    impl ScanWpq {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                entries: FxHashMap::default(),
+                media_writes: 0,
+                coalesced: 0,
+                backpressure_events: 0,
+            }
+        }
+
+        fn occupancy(&self, now: Cycle) -> usize {
+            self.entries.values().filter(|e| e.completion > now).count()
+        }
+
+        fn coalescable(&self, block: BlockAddr, t: Cycle) -> Option<Cycle> {
+            self.entries
+                .get(&block)
+                .filter(|e| e.start > t)
+                .map(|e| e.completion)
+        }
+
+        fn offer(
+            &mut self,
+            now: Cycle,
+            block: BlockAddr,
+            media: &mut ChannelScheduler,
+            write_latency: Cycle,
+        ) -> WpqAccept {
+            self.entries.retain(|_, e| e.completion > now);
+            let mut accept = now;
+            if self.coalescable(block, now).is_none() && self.occupancy(now) >= self.capacity {
+                self.backpressure_events += 1;
+                accept = self
+                    .entries
+                    .values()
+                    .map(|e| e.completion)
+                    .filter(|&c| c > now)
+                    .min()
+                    .unwrap_or(now);
+                self.entries.retain(|_, e| e.completion > accept);
+            }
+            if let Some(completion) = self.coalescable(block, accept) {
+                self.coalesced += 1;
+                return WpqAccept {
+                    persist: accept,
+                    media_completion: completion,
+                    coalesced: true,
+                };
+            }
+            let (start, completion) = media.schedule(accept, write_latency);
+            self.entries.insert(block, Entry { start, completion });
+            self.media_writes += 1;
+            WpqAccept {
+                persist: accept,
+                media_completion: completion,
+                coalesced: false,
+            }
+        }
+    }
+
+    #[test]
+    fn event_ordered_queue_matches_the_scan_reference() {
+        // Several cores' clocks feed one controller, so arrival cycles are
+        // not monotone; a small block pool makes same-block rewrites (both
+        // coalescing and overwriting) common.
+        let mut rng = bbb_sim::SplitMix64::new(0x5750_5121);
+        let (mut stalls, mut merges) = (0, 0);
+        for case in 0..300 {
+            let capacity = 1 + rng.next_index(256);
+            let channels = 1 + rng.next_index(32);
+            let latency = 1 + rng.next_below(2 * WLAT);
+            let blocks = 1 + rng.next_below(2 * capacity as u64 + 4);
+            let mut clocks = vec![0; 1 + rng.next_index(8)];
+            let (mut q, mut qm) = (
+                WritePendingQueue::new(capacity),
+                ChannelScheduler::new(channels),
+            );
+            let (mut r, mut rm) = (ScanWpq::new(capacity), ChannelScheduler::new(channels));
+            for step in 0..600 {
+                let core = rng.next_index(clocks.len());
+                clocks[core] += rng.next_below(latency / 4 + 2);
+                let now = clocks[core];
+                let block = BlockAddr::from_index(rng.next_below(blocks));
+                let got = q.offer(now, block, &mut qm, latency);
+                let want = r.offer(now, block, &mut rm, latency);
+                assert_eq!(got, want, "case {case} step {step}: offer({now}, {block})");
+                // A stalled core resumes at its accept cycle.
+                clocks[core] = clocks[core].max(got.persist);
+                let t = now.saturating_sub(latency) + rng.next_below(3 * latency);
+                assert_eq!(
+                    q.occupancy(t),
+                    r.occupancy(t),
+                    "case {case} step {step}: occupancy({t})"
+                );
+            }
+            let s = q.stats();
+            assert_eq!(s.get("wpq.media_writes"), r.media_writes, "case {case}");
+            assert_eq!(s.get("wpq.coalesced"), r.coalesced, "case {case}");
+            assert_eq!(
+                s.get("wpq.backpressure_events"),
+                r.backpressure_events,
+                "case {case}"
+            );
+            assert_eq!(qm, rm, "case {case}: media schedules diverged");
+            stalls += r.backpressure_events;
+            merges += r.coalesced;
+        }
+        assert!(stalls > 0 && merges > 0, "sequences must fill and coalesce");
     }
 
     #[test]
