@@ -5,7 +5,7 @@
 //! each with its own controller).
 
 use bbb_cache::MemoryPort;
-use bbb_mem::{DramController, NvmImage, NvmmController};
+use bbb_mem::{ByteStore, DramController, NvmImage, NvmmController, PAGE_BYTES};
 use bbb_sim::{Addr, AddressMap, BlockAddr, Cycle, SimConfig, Stats, BLOCK_BYTES};
 
 /// Both memory controllers plus the address map that routes between them.
@@ -44,18 +44,25 @@ impl Memories {
         &mut self.nvmm
     }
 
-    /// Pre-loads a block-aligned run of media contents starting at `base`
-    /// (warm start) without simulated time, split once at the DRAM/NVMM
-    /// boundary.
-    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
-        assert!(
-            base + bytes.len() as u64 <= self.map.end(),
-            "load outside memory"
-        );
-        let split = (self.map.nvmm_base().saturating_sub(base) as usize).min(bytes.len());
-        let (dram, nvmm) = bytes.split_at(split);
-        self.dram.load(base, dram);
-        self.nvmm.load(base + split as u64, nvmm);
+    /// Warm start without simulated time: each of `src`'s pages at
+    /// `bases` becomes the DRAM or NVMM media page there (split at
+    /// [`AddressMap::nvmm_base`]), shared copy-on-write rather than copied.
+    ///
+    /// # Panics
+    ///
+    /// If a page reaches past [`AddressMap::end`] ("load outside memory").
+    pub fn share_pages(&mut self, src: &ByteStore, bases: impl IntoIterator<Item = Addr>) {
+        for base in bases {
+            assert!(
+                base + PAGE_BYTES as u64 <= self.map.end(),
+                "load outside memory"
+            );
+            if base < self.map.nvmm_base() {
+                self.dram.share_page(src, base);
+            } else {
+                self.nvmm.share_page(src, base);
+            }
+        }
     }
 
     /// The post-crash NVMM image (media + battery-backed WPQ).
@@ -125,13 +132,18 @@ mod tests {
     }
 
     #[test]
-    fn load_routes_and_skips_counters() {
+    fn share_routes_and_skips_counters() {
         let mut m = mems();
         let nv = BlockAddr::containing(m.map().persistent_base());
-        m.load(nv.base(), &[7; 64]);
-        m.load(BlockAddr::from_index(1).base(), &[8; 64]);
+        let dram = BlockAddr::from_index(1);
+        let mut src = ByteStore::new();
+        src.write_block(nv, &[7; 64]);
+        src.write_block(dram, &[8; 64]);
+        m.share_pages(&src, [nv.base(), 0]);
         assert_eq!(m.stats().get("nvmm.writes"), 0);
         assert_eq!(m.stats().get("dram.writes"), 0);
+        assert_eq!(m.stats().get("nvmm.media_pages"), 1);
         assert_eq!(m.crash_image().read_block(nv), [7; 64]);
+        assert_eq!(m.read_block(0, dram).1, [8; 64]);
     }
 }

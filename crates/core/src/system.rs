@@ -21,7 +21,7 @@ use std::fmt;
 
 use bbb_cache::CacheHierarchy;
 use bbb_cpu::{CoreState, Op, SbEntry};
-use bbb_mem::{ByteStore, NvmImage};
+use bbb_mem::{ByteStore, NvmImage, PAGE_BYTES};
 use bbb_sim::{
     merge_logs, AddressMap, BlockAddr, Cycle, EventKind, EventQueue, MemoryPort, SchedProfile,
     SimConfig, Stats, TraceEvent, TraceLog,
@@ -353,15 +353,22 @@ impl System {
 
     /// Pre-loads bytes into both the architectural memory and the backing
     /// media (warm start: state that existed before the measured window).
+    ///
+    /// Each page `bytes` touch is shared into media whole, so the rest of
+    /// the page must already be equal on both sides. It is before the
+    /// first op: set-up writes only architectural memory, and every path
+    /// into media ([`System::prepare_stream`], [`System::adopt_image`],
+    /// this one) shares the architectural pages.
     pub fn preload(&mut self, addr: u64, bytes: &[u8]) {
+        debug_assert_eq!(self.now_max, 0, "preload after the first op");
         self.arch.write(addr, bytes);
-        // Propagate block-granular to media.
-        let start = BlockAddr::containing(addr).base();
-        let end = BlockAddr::containing(addr + bytes.len().max(1) as u64 - 1).base()
-            + bbb_sim::BLOCK_BYTES as u64;
-        let mut blocks = vec![0u8; (end - start) as usize];
-        self.arch.read(start, &mut blocks);
-        self.memories.load(start, &blocks);
+        if bytes.is_empty() {
+            return;
+        }
+        let page = PAGE_BYTES as u64;
+        let (first, last) = (addr / page, (addr + bytes.len() as u64 - 1) / page);
+        let pages = (first..=last).map(|p| p * page);
+        self.memories.share_pages(&self.arch, pages);
     }
 
     /// Pre-loads one `u64` (convenience over [`System::preload`]).
@@ -374,8 +381,9 @@ impl System {
     /// media, exactly as a reboot would find them. Recovery code then
     /// runs as ordinary workload operations.
     pub fn adopt_image(&mut self, image: &NvmImage) {
-        for (base, page) in image.as_store().iter_pages() {
-            self.arch.write(base, page);
+        let src = image.as_store();
+        for base in src.page_bases() {
+            self.arch.share_page_from(src, base);
         }
         self.sync_media_from_arch();
     }
@@ -395,12 +403,16 @@ impl System {
         self.sync_media_from_arch();
     }
 
-    /// Copies every materialized architectural-memory page into the
-    /// backing media without consuming simulated time.
+    /// Shares every materialized architectural-memory page into the
+    /// backing media, copy-on-write, without consuming simulated time: a
+    /// page is copied only when one side first writes it.
+    ///
+    /// # Panics
+    ///
+    /// If a page lies past the end of physical memory.
     pub fn sync_media_from_arch(&mut self) {
-        for (base, page) in self.arch.iter_pages() {
-            self.memories.load(base, page);
-        }
+        self.memories
+            .share_pages(&self.arch, self.arch.page_bases());
     }
 
     /// Runs a complete op stream on one core (single-threaded experiments
@@ -1488,51 +1500,97 @@ mod tests {
         assert_eq!(img.read_u64(a), 0x77);
     }
 
-    /// Reference for the run-based `Memories::load`: one load per block.
-    fn load_per_block(memories: &mut Memories, base: u64, bytes: &[u8]) {
-        for (i, block) in bytes.chunks_exact(BLOCK_BYTES).enumerate() {
-            memories.load(base + (i * BLOCK_BYTES) as u64, block);
+    /// The pre-sharing warm start, kept as the reference: a per-block
+    /// copy of `src`'s pages at `bases` into `into`.
+    fn copy_per_block(into: &mut ByteStore, src: &ByteStore, bases: impl Iterator<Item = u64>) {
+        for base in bases {
+            for block in (base..base + PAGE_BYTES as u64)
+                .step_by(BLOCK_BYTES)
+                .map(BlockAddr::containing)
+            {
+                into.write_block(block, &src.read_block(block));
+            }
         }
+    }
+
+    /// Media seeded from the per-block copy `copied` must match `s`'s
+    /// shared media: stats, crash image and every block's bytes (read
+    /// through a clone, so `s`'s read counters stay put).
+    fn assert_media_matches(s: &System, copied: &ByteStore) {
+        let mut reference = Memories::new(s.config());
+        reference.share_pages(copied, copied.page_bases());
+        let mut live = s.memories.clone();
+        assert_eq!(live.stats(), reference.stats());
+        assert_eq!(live.crash_image(), reference.crash_image());
+        for base in s.arch.page_bases().chain(copied.page_bases()) {
+            for block in (base..base + PAGE_BYTES as u64)
+                .step_by(BLOCK_BYTES)
+                .map(BlockAddr::containing)
+            {
+                let (_, got) = live.read_block(0, block);
+                assert_eq!(got, reference.read_block(0, block).1, "{block:?}");
+            }
+        }
+        assert_eq!(live.stats(), reference.stats());
     }
 
     #[test]
     fn run_based_media_sync_matches_per_block_reference() {
         let mut s = sys(PersistencyMode::BbbMemorySide);
         let nvmm = s.address_map().nvmm_base();
-        let mut reference = s.memories.clone();
+        let mut copied = ByteStore::new();
         // Arch pages on both sides of the DRAM/NVMM boundary.
         let pattern: Vec<u8> = (0..3 * 4096 + 200).map(|i| (i * 7 + 1) as u8).collect();
         s.arch_mem_mut().write(0x2000, &pattern);
         s.arch_mem_mut().write(nvmm - 4096, &pattern);
         s.arch_mem_mut().write_u64(nvmm + 0x9008, 0x5A);
         s.sync_media_from_arch();
-        for (base, page) in s.arch.iter_pages() {
-            load_per_block(&mut reference, base, page);
-        }
-        // One preload run straddling the boundary, unaligned at both ends.
+        copy_per_block(&mut copied, &s.arch, s.arch.page_bases());
+        assert!(s.memories.stats().get("nvmm.media_pages") >= 4);
+        assert_media_matches(&s, &copied);
+
+        // One preload run straddling the boundary, unaligned at both ends:
+        // the reference copies only the blocks it touches.
         let run: Vec<u8> = (0..300u32).map(|i| i as u8 ^ 0xC3).collect();
         let at = nvmm - 100;
         s.preload(at, &run);
         let start = BlockAddr::containing(at).base();
         let end = BlockAddr::containing(at + run.len() as u64 - 1).base() + BLOCK_BYTES as u64;
-        let mut blocks = vec![0u8; (end - start) as usize];
-        s.arch.read(start, &mut blocks);
-        load_per_block(&mut reference, start, &blocks);
-
-        let stats = s.memories.stats();
-        assert_eq!(stats, reference.stats());
-        assert!(stats.get("nvmm.media_pages") >= 4, "{stats:?}");
-        assert_eq!(s.memories.crash_image(), reference.crash_image());
-        for (base, _) in s.arch.iter_pages() {
-            for block in (base..base + 4096)
-                .step_by(BLOCK_BYTES)
-                .map(BlockAddr::containing)
-            {
-                let (_, got) = s.memories.read_block(0, block);
-                assert_eq!(got, reference.read_block(0, block).1, "{block:?}");
-            }
+        for block in (start..end).step_by(BLOCK_BYTES).map(BlockAddr::containing) {
+            copied.write_block(block, &s.arch.read_block(block));
         }
-        assert_eq!(s.memories.stats(), reference.stats());
+        assert_media_matches(&s, &copied);
+
+        // Isolation both ways: neither side's first write reaches the other.
+        let a = nvmm + 0x9008;
+        s.arch_mem_mut().write_u64(a, 0xA1);
+        assert_eq!(s.memories.crash_image().read_u64(a), 0x5A);
+        let b = BlockAddr::containing(nvmm - 4096);
+        let before = s.arch.read_block(b);
+        s.memories.write_block(0, b, [0xEE; BLOCK_BYTES]);
+        assert_eq!(s.arch.read_block(b), before);
+        assert_eq!(s.memories.crash_image().read_u64(a), 0x5A);
+        assert_eq!(s.arch.read_u64(a), 0xA1);
+
+        // Adopting an image with pages on both sides of the boundary.
+        let mut image = ByteStore::new();
+        image.write(0x5000, &pattern);
+        image.write(nvmm - 8, &pattern);
+        let mut r = sys(PersistencyMode::BbbMemorySide);
+        r.adopt_image(&NvmImage::from_store(image.clone()));
+        assert_eq!(r.arch, image);
+        let mut copied = ByteStore::new();
+        copy_per_block(&mut copied, &image, image.page_bases());
+        assert_media_matches(&r, &copied);
+    }
+
+    #[test]
+    #[should_panic(expected = "load outside memory")]
+    fn media_sync_rejects_a_page_past_the_end() {
+        let mut s = sys(PersistencyMode::BbbMemorySide);
+        let end = s.address_map().end();
+        s.arch_mem_mut().write_u64(end, 1);
+        s.sync_media_from_arch();
     }
 
     #[test]

@@ -166,10 +166,15 @@ impl ByteStore {
                             None => *slot = Arc::new(page_from(src)),
                         }
                     } else {
-                        if Arc::get_mut(slot).is_none() {
-                            self.cow_page_copies += 1;
+                        // One atomic probe on the common unshared page;
+                        // `make_mut` (and its copy) only for a shared one.
+                        match Arc::get_mut(slot) {
+                            Some(p) => p[off..off + n].copy_from_slice(src),
+                            None => {
+                                self.cow_page_copies += 1;
+                                Arc::make_mut(slot)[off..off + n].copy_from_slice(src);
+                            }
                         }
-                        Arc::make_mut(slot)[off..off + n].copy_from_slice(src);
                     }
                 }
                 Entry::Vacant(v) => {
@@ -221,8 +226,32 @@ impl ByteStore {
         self.write(addr, &value.to_le_bytes());
     }
 
+    /// Base addresses of the materialized pages, in no particular order.
+    pub fn page_bases(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.pages.keys().map(|&k| k << PAGE_SHIFT)
+    }
+
+    /// Makes the page at `base` share `src`'s page there, copy-on-write:
+    /// an [`Arc`] clone, not a copy, so the first write on either side
+    /// copies it. A page `src` never materialized is left alone. Bumps
+    /// [`ByteStore::version`] like a write.
+    ///
+    /// # Panics
+    ///
+    /// If `base` is not page-aligned.
+    pub fn share_page_from(&mut self, src: &ByteStore, base: Addr) {
+        assert!(
+            base.is_multiple_of(PAGE_BYTES as u64),
+            "unaligned page base {base:#x}"
+        );
+        self.version += 1;
+        if let Some(page) = src.pages.get(&(base >> PAGE_SHIFT)) {
+            self.pages.insert(base >> PAGE_SHIFT, Arc::clone(page));
+        }
+    }
+
     /// Iterates `(page_base_address, page_bytes)` over materialized pages,
-    /// in ascending address order (bulk mirroring into device media).
+    /// in ascending address order.
     pub fn iter_pages(&self) -> impl Iterator<Item = (Addr, &[u8])> {
         let mut keys: Vec<u64> = self.pages.keys().copied().collect();
         keys.sort_unstable();
@@ -373,6 +402,25 @@ mod tests {
         assert_eq!(n.resident_pages(), 2);
         assert_eq!(n.read_u64(0x3008), u64::from_le_bytes([0xAB; 8]));
         assert_eq!(n.read_u64(0x3000), 0);
+    }
+
+    #[test]
+    fn shared_page_copies_on_first_write_either_side() {
+        let mut src = ByteStore::new();
+        src.write_u64(0x2010, 5);
+        let mut dst = ByteStore::new();
+        dst.share_page_from(&src, 0x2000);
+        dst.share_page_from(&src, 0x5000); // not materialized in src
+        assert_eq!(dst.version(), 2);
+        assert_eq!(dst.resident_pages(), 1);
+        assert_eq!((src.shared_pages(), dst.shared_pages()), (1, 1));
+        assert_eq!(dst, src);
+
+        // The first write on either side copies; the other keeps the page.
+        src.write_u64(0x2010, 6);
+        assert_eq!((src.cow_page_copies(), dst.read_u64(0x2010)), (1, 5));
+        dst.write_u64(0x2010, 7);
+        assert_eq!((dst.cow_page_copies(), src.read_u64(0x2010)), (0, 6));
     }
 
     #[test]

@@ -78,11 +78,11 @@ impl DramController {
         completion
     }
 
-    /// Pre-loads a block-aligned run of media contents starting at
-    /// `base` without consuming simulated time (warm start before
-    /// measurement begins).
-    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
-        self.media.write(base, bytes);
+    /// Warm start: shares `src`'s page at `base` into media,
+    /// copy-on-write, without consuming simulated time (see
+    /// [`ByteStore::share_page_from`]).
+    pub fn share_page(&mut self, src: &ByteStore, base: Addr) {
+        self.media.share_page_from(src, base);
     }
 
     /// Exports counters under the `dram.` prefix.
@@ -207,10 +207,11 @@ impl NvmmController {
         }
     }
 
-    /// Pre-loads a block-aligned run of media contents starting at
-    /// `base` without consuming simulated time.
-    pub fn load(&mut self, base: Addr, bytes: &[u8]) {
-        self.media.write(base, bytes);
+    /// Warm start: shares `src`'s page at `base` into media,
+    /// copy-on-write, without consuming simulated time (see
+    /// [`ByteStore::share_page_from`]).
+    pub fn share_page(&mut self, src: &ByteStore, base: Addr) {
+        self.media.share_page_from(src, base);
     }
 
     /// Snapshot of the persistent image at a crash: media plus the WPQ,
@@ -310,11 +311,23 @@ mod tests {
         assert_eq!(d.stats().get("dram.writes"), 1);
     }
 
+    /// A store holding `bytes` at `block`, to share media pages from.
+    fn seeded(block: BlockAddr, bytes: [u8; 64]) -> ByteStore {
+        let mut src = ByteStore::new();
+        src.write_block(block, &bytes);
+        src
+    }
+
+    /// The base of the 4 KiB page holding `block`.
+    fn page_of(block: BlockAddr) -> Addr {
+        block.base() & !(crate::PAGE_BYTES as Addr - 1)
+    }
+
     #[test]
-    fn dram_load_is_instant() {
+    fn dram_share_is_instant() {
         let mut d = DramController::new(timing());
         let b = BlockAddr::from_index(2);
-        d.load(b.base(), &[3; 64]);
+        d.share_page(&seeded(b, [3; 64]), page_of(b));
         let (_, data) = d.read(0, b);
         assert_eq!(data, [3; 64]);
         assert_eq!(d.stats().get("dram.writes"), 0);
@@ -334,7 +347,7 @@ mod tests {
     fn nvmm_read_latency_and_data() {
         let mut n = NvmmController::new(timing());
         let b = BlockAddr::from_index(6);
-        n.load(b.base(), &[4; 64]);
+        n.share_page(&seeded(b, [4; 64]), page_of(b));
         let (done, data) = n.read(0, b);
         assert_eq!(done, 300);
         assert_eq!(data, [4; 64]);
@@ -447,7 +460,9 @@ mod port_tests {
     fn nvmm_port_rmw_patches_bytes_with_one_write() {
         let mut n = NvmmController::new(MemTiming::default());
         let b = BlockAddr::from_index(2);
-        n.load(b.base(), &[0xAA; 64]);
+        let mut src = ByteStore::new();
+        src.write_block(b, &[0xAA; 64]);
+        n.share_page(&src, 0);
         n.rmw_block(0, b, 8, &[1, 2, 3]);
         assert_eq!(n.endurance().total_writes(), 1);
         assert_eq!(n.stats().get("nvmm.reads"), 0, "media patched directly");

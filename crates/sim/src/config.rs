@@ -283,8 +283,9 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns `Err` if any structural parameter is zero, a cache geometry
-    /// does not divide evenly, or the L2 is smaller than one core's L1D
-    /// (the inclusion invariant would be unsatisfiable).
+    /// does not divide evenly, the L2 is smaller than one core's L1D
+    /// (the inclusion invariant would be unsatisfiable), or the DRAM size
+    /// is not page-granular.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be > 0".into());
@@ -306,6 +307,11 @@ impl SimConfig {
         }
         if self.l2.capacity_bytes < self.l1d.capacity_bytes {
             return Err("L2 must be at least as large as one L1D (inclusion)".into());
+        }
+        // Warm start hands whole 4 KiB pages to one controller or the
+        // other, so the DRAM/NVMM boundary must fall on a page boundary.
+        if !self.dram_bytes.is_multiple_of(4096) {
+            return Err("dram_bytes must be a multiple of 4 KiB".into());
         }
         if let DrainPolicy::Threshold { threshold_pct } = self.bbpb.drain_policy {
             if threshold_pct == 0 || threshold_pct > 100 {
@@ -388,6 +394,10 @@ mod tests {
 
         let mut c = SimConfig::default();
         c.l2.capacity_bytes = 64 * KIB; // smaller than L1D
+        assert!(c.validate().is_err());
+
+        let mut c = SimConfig::default();
+        c.dram_bytes += 64; // NVMM would start mid-page
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::default();

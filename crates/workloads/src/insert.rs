@@ -216,11 +216,7 @@ mod tests {
 
     /// The first persistent-heap address at which `a` and `b` differ.
     fn first_difference(a: &ByteStore, b: &ByteStore, map: &AddressMap) -> Option<Addr> {
-        let mut pages: Vec<Addr> = a
-            .iter_pages()
-            .chain(b.iter_pages())
-            .map(|(p, _)| p)
-            .collect();
+        let mut pages: Vec<Addr> = a.page_bases().chain(b.page_bases()).collect();
         pages.sort_unstable();
         pages.dedup();
         pages

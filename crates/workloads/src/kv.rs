@@ -634,6 +634,40 @@ mod tests {
         }
     }
 
+    /// Why sharing the set-up pages with media moves no counter: a store
+    /// commits to the architectural page, copying it off the share,
+    /// before its block can reach media, so media never pays a copy.
+    #[test]
+    fn shared_warm_start_leaves_media_copy_free() {
+        for mode in PersistencyMode::ALL {
+            let cfg = SimConfig::small_for_tests();
+            let layout = KvLayout::new(AddressMap::new(&cfg).persistent_base(), 2048, 4, 512);
+            let mut kv = KvWorkload::new(
+                layout,
+                KvSpec {
+                    keys: 2048,
+                    ..spec(KvMix::A)
+                },
+                cfg.cores,
+            );
+            let mut sys = System::new(cfg, mode).unwrap();
+            sys.prepare_stream(&mut kv);
+            let pages = sys.arch_mem().resident_pages() as u64;
+            assert_eq!(sys.stats().get("nvmm.media_pages"), pages, "{mode:?}");
+            assert!(pages >= 32, "{mode:?}: {pages} pages");
+            sys.run_stream(&mut kv, u64::MAX);
+            sys.drain_all_store_buffers();
+            let stats = sys.stats();
+            assert!(stats.get("nvmm.writes") > 0, "{mode:?}: no media write");
+            assert!(
+                sys.arch_mem().cow_page_copies() > 0,
+                "{mode:?}: no share broken"
+            );
+            assert_eq!(stats.get("nvmm.cow_page_copies"), 0, "{mode:?}");
+            assert!(stats.get("nvmm.media_pages") <= sys.arch_mem().resident_pages() as u64);
+        }
+    }
+
     #[test]
     fn mix_c_is_read_only() {
         let cfg = SimConfig::small_for_tests();
